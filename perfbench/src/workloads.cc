@@ -357,6 +357,12 @@ runFleet(const RunConfig &cfg, SpanRecorder &spans)
         // the stranded leases itself.
         fc.coordinator.campaign.jobs = 1;
         fc.coordinator.journalPath = journal;
+        // One lease per worker at a time: the batch's fourth shard goes
+        // to whichever worker frees up first. With two queued per worker
+        // it lands by connection order, and when two long shards share a
+        // worker the round takes twice as long, so wall time swung by a
+        // fifth from one repetition to the next.
+        fc.coordinator.queueDepth = 1;
         fleet::FleetResult fr;
         bool listen_ok = false;
         {
@@ -679,7 +685,7 @@ runBughunt(const RunConfig &cfg, SpanRecorder &spans)
         double saturation = 0.0, shards = 0.0, events = 0.0;
         double episodes = 0.0, record_s = 0.0, shrink_s = 0.0;
         double verify_s = 0.0, probes = 0.0, original = 0.0;
-        double shrunk_eps = 0.0;
+        double shrunk_eps = 0.0, runs = 0.0;
         std::string digest_input;
         CampaignTotals totals;
         for (unsigned set = 0; set < huntSets; ++set) {
@@ -705,6 +711,7 @@ runBughunt(const RunConfig &cfg, SpanRecorder &spans)
                 shards += double(res.shardsRun);
                 events += double(res.totalEvents);
                 episodes += double(res.totalEpisodes);
+                runs += double(res.shardsRun);
                 if (!res.firstFailure || !res.failurePreset ||
                     res.firstFailureClass != h.expected)
                     continue;
@@ -733,6 +740,9 @@ runBughunt(const RunConfig &cfg, SpanRecorder &spans)
                 const Clock::time_point t5 = Clock::now();
                 to_repro += secondsBetween(t2, t5);
                 r.result.attempted += stats.probes;
+                // The record, every shrink probe and both verify replays
+                // simulate the failing shard once more each.
+                runs += 3.0 + double(stats.probes);
                 if (trace.result.failureClass == h.expected &&
                     !replayed.passed && replayed.failureClass == h.expected &&
                     shrunk.size() == stats.shrunkEpisodes &&
@@ -766,12 +776,18 @@ runBughunt(const RunConfig &cfg, SpanRecorder &spans)
         }
         r.repeatDigest("bughunt.failures", digestHex(digest_input));
 
-        // Per hunt set (the four faults), averaged over the sets. Rates
-        // cover the guided campaigns, whose events the program counts.
+        // Per hunt set (the four faults), averaged over the sets. Event
+        // and episode rates cover the guided campaigns, whose events the
+        // program counts. shards_per_s counts every simulated run of the
+        // hunt over its whole time: campaign shards alone swing with how
+        // many shards each seed needs before its first failure.
         const double sets = huntSets;
-        e.add("wall_s", (to_failure + to_repro) / sets, "s");
+        const double hunt_s = to_failure + to_repro;
+        e.add("wall_s", hunt_s / sets, "s");
         e.add("setup_s", setup / sets, "s");
-        addRates(e, to_failure, shards, events, episodes);
+        e.add("shards_per_s", ratio(runs, hunt_s), "1/s");
+        e.add("sim_events_per_s", ratio(events, to_failure), "1/s");
+        e.add("episodes_per_s", ratio(episodes, to_failure), "1/s");
         if (!traced)
             return;
 
