@@ -178,6 +178,30 @@ ShardMerge::take(double wall_seconds)
     return std::move(_result);
 }
 
+ShardOutcome
+runShardIsolated(const ShardSpec &spec, std::size_t index)
+{
+    ShardOutcome out;
+    try {
+        out = spec.run();
+    } catch (const std::exception &e) {
+        // Shard isolation: anything a tester failed to convert itself
+        // becomes a structured failure here.
+        out.result.passed = false;
+        out.result.failureClass = FailureClass::Other;
+        out.result.report = e.what();
+    } catch (...) {
+        out.result.passed = false;
+        out.result.failureClass = FailureClass::Other;
+        out.result.report = "unknown shard exception";
+    }
+    if (out.name.empty())
+        out.name = spec.name;
+    out.seed = spec.seed;
+    out.index = index;
+    return out;
+}
+
 CampaignResult
 runCampaign(std::vector<ShardSpec> shards, const CampaignConfig &cfg)
 {
@@ -196,32 +220,13 @@ runCampaign(std::vector<ShardSpec> shards, const CampaignConfig &cfg)
         for (std::size_t i = 0; i < shards.size(); ++i) {
             // The spec is moved into the job; the pool owns it until run.
             pool.submit([&merge, start, i,
-                         spec = std::move(shards[i])]() mutable {
+                         spec = std::move(shards[i])] {
                 if (merge.stopRequested()) {
                     merge.addSkipped();
                     return;
                 }
 
-                ShardOutcome out;
-                try {
-                    out = spec.run();
-                } catch (const std::exception &e) {
-                    // Shard isolation: anything a tester failed to
-                    // convert itself becomes a structured failure here.
-                    out.result.passed = false;
-                    out.result.failureClass = FailureClass::Other;
-                    out.result.report = e.what();
-                } catch (...) {
-                    out.result.passed = false;
-                    out.result.failureClass = FailureClass::Other;
-                    out.result.report = "unknown shard exception";
-                }
-                if (out.name.empty())
-                    out.name = spec.name;
-                out.seed = spec.seed;
-                out.index = i;
-
-                merge.add(std::move(out), secondsSince(start));
+                merge.add(runShardIsolated(spec, i), secondsSince(start));
             });
         }
         pool.waitIdle();

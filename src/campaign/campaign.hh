@@ -247,6 +247,15 @@ class ShardMerge
     std::atomic<bool> _stop{false};
 };
 
+/**
+ * Run one shard on the calling thread. Shard isolation: an exception
+ * the shard failed to convert itself becomes a FailureClass::Other
+ * failure instead of escaping into a pool thread. The outcome carries
+ * the spec's name (when the shard left it empty), its seed and
+ * @p index.
+ */
+ShardOutcome runShardIsolated(const ShardSpec &spec, std::size_t index);
+
 /** Run @p shards under @p cfg; blocks until done or early-stopped. */
 CampaignResult runCampaign(std::vector<ShardSpec> shards,
                            const CampaignConfig &cfg = {});

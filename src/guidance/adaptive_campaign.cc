@@ -1,8 +1,16 @@
 #include "guidance/adaptive_campaign.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <deque>
+#include <mutex>
+#include <utility>
 
 #include "campaign/campaign_json.hh"
+#include "campaign/thread_pool.hh"
 
 namespace drf
 {
@@ -71,6 +79,7 @@ FeedbackLoop::onOutcome(const ShardOutcome &out, double wall_seconds)
     _res.totalEpisodes += fb.episodes;
     _res.totalActions += fb.actions;
     _res.totalEvents += out.result.events;
+    _res.busySeconds += out.result.hostSeconds;
 
     CoveragePoint point;
     point.shardsCompleted = _res.shardsRun;
@@ -129,38 +138,160 @@ FeedbackLoop::take(double wall_seconds, unsigned jobs)
     return std::move(_res);
 }
 
+namespace
+{
+
+/**
+ * Pool workers hand finished shards to the driving thread through this
+ * mailbox. A shard skipped after a stop posts nullopt, so its batch
+ * still completes.
+ */
+class Mailbox
+{
+  public:
+    using Post = std::pair<std::size_t, std::optional<ShardOutcome>>;
+
+    void
+    post(std::size_t index, std::optional<ShardOutcome> out)
+    {
+        {
+            std::lock_guard<std::mutex> lock(_mutex);
+            _posts.emplace_back(index, std::move(out));
+        }
+        _cv.notify_one();
+    }
+
+    /** Block until something was posted; take everything posted. */
+    std::vector<Post>
+    wait()
+    {
+        std::unique_lock<std::mutex> lock(_mutex);
+        _cv.wait(lock, [this] { return !_posts.empty(); });
+        return std::exchange(_posts, {});
+    }
+
+  private:
+    std::mutex _mutex;
+    std::condition_variable _cv;
+    std::vector<Post> _posts;
+};
+
+/** A pulled batch waiting for its outcomes (the reorder buffer). */
+struct PendingBatch
+{
+    std::size_t first = 0; ///< global index of its first shard
+    std::vector<std::optional<ShardOutcome>> outcomes;
+    std::size_t posted = 0;
+
+    bool complete() const { return posted == outcomes.size(); }
+};
+
+} // namespace
+
 AdaptiveCampaignResult
 runAdaptiveCampaign(ShardSource &source, const AdaptiveCampaignConfig &cfg)
 {
     FeedbackLoop loop(source, cfg);
-    unsigned jobs = 0;
+    const bool streaming = feedbackFree(source.strategy());
+    const unsigned jobs =
+        cfg.jobs != 0 ? cfg.jobs : ThreadPool::defaultThreads();
     Clock::time_point start = Clock::now();
 
-    for (;;) {
+    // A shard whose global index is above this skips itself when it
+    // would start: lowered to a failing shard's index under
+    // stopOnFailure (as a barrier skips the rest of a failing batch),
+    // and to 0 once the loop stops.
+    std::atomic<std::size_t> skipAfter{SIZE_MAX};
+    Mailbox mailbox;
+    std::deque<PendingBatch> pending;
+    std::size_t issued = 0;  ///< shards submitted to the pool
+    std::size_t running = 0; ///< submitted shards not yet posted
+    bool exhausted = false;
+    // Declared after everything its jobs touch, so it drains first.
+    std::optional<ThreadPool> pool;
+
+    // Every ShardSource call below stays on this driving thread.
+    auto pull = [&] {
         std::vector<ShardSpec> batch = source.nextBatch();
-        if (batch.empty())
+        if (batch.empty()) {
+            exhausted = true;
+            return;
+        }
+        // A barrier runs one batch at a time, so its pool grows (idle,
+        // between batches) only to the largest batch: a thread beyond
+        // that would only take turns with the others, and each thread
+        // that ran a shard keeps its own allocator arena resident.
+        const unsigned want =
+            streaming ? jobs
+                      : static_cast<unsigned>(std::min<std::size_t>(
+                            jobs, batch.size()));
+        if (!pool || pool->threadCount() < want)
+            pool.emplace(want);
+        pending.push_back({issued, {}, 0});
+        pending.back().outcomes.resize(batch.size());
+        for (ShardSpec &spec : batch) {
+            pool->submit([&, index = issued++, spec = std::move(spec)] {
+                if (index > skipAfter.load(std::memory_order_acquire)) {
+                    mailbox.post(index, std::nullopt);
+                    return;
+                }
+                ShardOutcome out = runShardIsolated(spec, index);
+                if (!out.result.passed && cfg.stopOnFailure &&
+                    !isHostFailureClass(out.result.failureClass)) {
+                    std::size_t cur = skipAfter.load();
+                    while (index < cur &&
+                           !skipAfter.compare_exchange_weak(cur, index)) {
+                    }
+                }
+                mailbox.post(index, std::move(out));
+            });
+        }
+        running += batch.size();
+    };
+
+    for (;;) {
+        // Feedback-free sources top the pool up whenever a worker
+        // would go idle; the others wait for their batch's feedback.
+        while (!exhausted && (streaming ? running < jobs : pending.empty()))
+            pull();
+        if (pending.empty())
             break;
-        loop.beginRound();
 
-        CampaignConfig batch_cfg;
-        batch_cfg.jobs = cfg.jobs;
-        batch_cfg.stopOnFailure = cfg.stopOnFailure;
-        batch_cfg.coverageTestType = cfg.coverageTestType;
-        batch_cfg.keepOutcomes = true;
-        CampaignResult batch_res =
-            runCampaign(std::move(batch), batch_cfg);
-        jobs = batch_res.jobs;
+        for (Mailbox::Post &post : mailbox.wait()) {
+            --running;
+            auto batch = std::find_if(
+                pending.begin(), pending.end(),
+                [&](const PendingBatch &b) {
+                    return post.first < b.first + b.outcomes.size();
+                });
+            batch->outcomes[post.first - batch->first] =
+                std::move(post.second);
+            ++batch->posted;
+        }
 
-        // Feedback strictly in shard-index order: outcomes is sorted,
-        // so the source sees a thread-count-invariant stream.
-        for (ShardOutcome &out : batch_res.outcomes)
-            loop.onOutcome(out, secondsSince(start));
-
-        if (loop.stopRequested())
+        // Drain complete batches in index order: the source sees the
+        // same stream, and the stop policy runs at the same batch
+        // boundaries, as under a barrier.
+        bool stop = false;
+        while (!stop && !pending.empty() && pending.front().complete()) {
+            loop.beginRound();
+            for (std::optional<ShardOutcome> &out : pending.front().outcomes)
+                if (out)
+                    loop.onOutcome(*out, secondsSince(start));
+            pending.pop_front();
+            stop = loop.stopRequested();
+        }
+        if (stop) {
+            // Batches pulled ahead are never reported or counted.
+            skipAfter.store(0, std::memory_order_release);
+            pool->cancelPending();
             break;
+        }
     }
 
-    return loop.take(secondsSince(start), jobs);
+    const unsigned used = pool ? pool->threadCount() : 0;
+    pool.reset(); // shards of discarded batches may still be running
+    return loop.take(secondsSince(start), used);
 }
 
 namespace
@@ -242,8 +373,10 @@ writeCampaignJson(const AdaptiveCampaignResult &result,
     w.key("total_episodes").value(result.totalEpisodes);
     w.key("total_actions").value(result.totalActions);
     w.key("total_events").value(result.totalEvents);
-    if (volatile_fields)
+    if (volatile_fields) {
         w.key("wall_seconds").value(result.wallSeconds);
+        w.key("busy_seconds").value(result.busySeconds);
+    }
 
     w.key("l1_union_pct");
     if (result.l1Union)

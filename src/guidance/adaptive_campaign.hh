@@ -2,20 +2,30 @@
  * @file
  * The adaptive campaign loop: ShardSource in, campaign batches out.
  *
- * runAdaptiveCampaign() repeatedly pulls a batch from the source, runs
- * it on the existing work-stealing campaign pool (src/campaign/), and
- * feeds every shard's outcome back in shard-index order with its
- * newly-covered-cell counts computed against the cross-batch union.
+ * runAdaptiveCampaign() pulls batches from the source and runs their
+ * shards on one work-stealing pool (src/campaign/) that lives for the
+ * whole campaign. Finished shards wait in a reorder buffer; each batch
+ * is fed back once it is complete, in global shard-index order, with
+ * its newly-covered-cell counts computed against the cross-batch
+ * union. When the next batch may be pulled depends on the strategy: a
+ * feedbackFree() source (sweep, random) is asked again as soon as a
+ * worker would otherwise go idle, so a straggler no longer idles the
+ * pool; a feedback-driven one (guided, explore) only after every shard
+ * of its previous batch was reported.
  *
  * Determinism contract: per-shard results are bit-exact functions of
- * (configuration, seed); batch aggregates and index-ordered outcome
- * lists are thread-count invariant; and the source only ever observes
- * that index-ordered stream. Therefore two runs with the same master
- * seed and no failing shard produce the identical shard schedule,
- * decision log, and union-coverage digest at any worker count. (After
- * a failure with stopOnFailure, which shards of the final batch were
- * skipped is completion-order dependent — everything up to and
- * including the first failure is still reproducible.)
+ * (configuration, seed); the source only ever observes the
+ * index-ordered outcome stream; and rounds are counted and the stop
+ * policy checked at the same batch boundaries either way. Outcomes of
+ * batches pulled ahead of a stop are discarded: never reported, never
+ * counted. Therefore two runs with the same master seed and no failing
+ * shard produce the identical shard schedule, decision log, and
+ * union-coverage digest at any worker count. (After a failure with
+ * stopOnFailure, unstarted shards of the failing batch past the
+ * failure are skipped; whether a higher-index shard of that batch had
+ * already started is completion-order dependent at jobs > 1 —
+ * everything up to and including the first failure is still
+ * reproducible.)
  */
 
 #ifndef DRF_GUIDANCE_ADAPTIVE_CAMPAIGN_HH
@@ -27,10 +37,10 @@
 namespace drf
 {
 
-/** Loop-level policy (per-batch runs inherit jobs/stopOnFailure). */
+/** Loop-level policy. */
 struct AdaptiveCampaignConfig
 {
-    /** Worker threads per batch; 0 means hardware concurrency. */
+    /** Campaign pool threads; 0 means hardware concurrency. */
     unsigned jobs = 0;
 
     /** Stop pulling batches once any shard fails. */
@@ -59,6 +69,11 @@ struct AdaptiveCampaignResult
     std::uint64_t totalActions = 0;
     std::uint64_t totalEvents = 0;
     double wallSeconds = 0.0;
+    /**
+     * Sum of the reported shards' host seconds: jobs × wallSeconds −
+     * busySeconds is the pool's idle time.
+     */
+    double busySeconds = 0.0;
 
     std::optional<ShardFailure> firstFailure;
     FailureClass firstFailureClass = FailureClass::None;
@@ -95,11 +110,14 @@ struct AdaptiveCampaignResult
  * coordinator (src/fleet) build their aggregates through literally the
  * same code: cross-batch union accumulation, the per-shard curve,
  * first-failure capture, and the index-ordered report() stream to the
- * source. Feed outcomes strictly in shard-index order within each
- * batch; because per-shard results are bit-exact functions of
- * (configuration, seed), the resulting AdaptiveCampaignResult is then
- * identical however the outcomes were actually computed — threads,
- * worker processes, remote hosts, or a resume journal.
+ * source. Call beginRound() for each batch, feed its outcomes strictly
+ * in global shard-index order, then check stopRequested(). The next
+ * batch may already be running (a feedbackFree() source streams), but
+ * none of its outcomes may be fed before that check. Because per-shard
+ * results are bit-exact functions of (configuration, seed), the
+ * resulting AdaptiveCampaignResult is then identical however the
+ * outcomes were actually computed — threads, worker processes, remote
+ * hosts, or a resume journal.
  */
 class FeedbackLoop
 {
@@ -110,7 +128,7 @@ class FeedbackLoop
     void beginRound();
 
     /**
-     * Feed one completed shard, batch-local index order. @p
+     * Feed one completed shard, global index order. @p
      * wall_seconds stamps the curve point (a per-run field, excluded
      * from the deterministic aggregate subset).
      */

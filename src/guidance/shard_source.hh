@@ -4,17 +4,20 @@
  *
  * runAdaptiveCampaign (adaptive_campaign.hh) closes the
  * coverage-feedback loop: it repeatedly asks a ShardSource for the
- * next batch of shards, runs the batch on the existing work-stealing
- * campaign pool, merges coverage, and reports each shard's outcome —
- * including how many union cells it covered first — back to the
- * source, which uses the signal (or ignores it) to choose the next
- * batch.
+ * next batch of shards, runs the shards on one work-stealing campaign
+ * pool, merges coverage, and reports each shard's outcome — including
+ * how many union cells it covered first — back to the source, which
+ * uses the signal (or ignores it) to choose the next batch.
  *
- * Feedback is delivered batch-by-batch in shard-index order, never in
- * thread completion order. Because per-shard results are bit-exact
- * functions of (configuration, seed), the feedback stream a source
- * observes — and therefore every decision it makes — is identical
- * across thread counts and re-runs with the same master seed.
+ * Feedback is delivered in global shard-index order, never in thread
+ * completion order. Because per-shard results are bit-exact functions
+ * of (configuration, seed), the feedback stream a source observes —
+ * and therefore every decision it makes — is identical across thread
+ * counts and re-runs with the same master seed. Feedback-driven
+ * strategies (guided, explore) see every shard of a batch reported
+ * before their next nextBatch(); feedback-free ones (sweep, random)
+ * may be asked for the next batch while earlier shards still run
+ * (see feedbackFree()).
  *
  * Strategies:
  *  - sweep:  the Table III presets in order (the status quo);
@@ -47,6 +50,15 @@ enum class Strategy
 };
 
 const char *strategyName(Strategy s);
+
+/**
+ * True for strategies whose batches never depend on reported feedback
+ * (sweep, random). The adaptive loop streams their batches through the
+ * pool with no batch barrier; feedback-driven strategies keep it. The
+ * loop keys off ShardSource::strategy(), so a decorating source that
+ * forwards strategy() keeps its inner source's scheduling.
+ */
+bool feedbackFree(Strategy s);
 std::optional<Strategy> parseStrategy(const std::string &name);
 
 /**
@@ -108,8 +120,10 @@ class ShardSource
     virtual std::vector<ShardSpec> nextBatch() = 0;
 
     /**
-     * Outcome of one shard of the last batch, in shard-index order.
-     * Every shard of a batch is reported before the next nextBatch().
+     * Outcome of one issued shard, in global shard-index order. For a
+     * feedback-driven strategy every shard of a batch is reported
+     * before the next nextBatch(); for a feedbackFree() one, later
+     * batches may already have been pulled.
      */
     virtual void
     report(const ShardOutcome &outcome, const ShardFeedback &feedback)

@@ -18,6 +18,12 @@ strategyName(Strategy s)
     return "?";
 }
 
+bool
+feedbackFree(Strategy s)
+{
+    return s == Strategy::Sweep || s == Strategy::Random;
+}
+
 std::optional<Strategy>
 parseStrategy(const std::string &name)
 {

@@ -4,13 +4,24 @@
  * UCB1 bandit, genome <-> preset mapping and bounded mutation, the
  * three shard-source strategies, and the adaptive campaign loop's
  * determinism contract (same master seed => identical decision
- * sequence and union digest at any worker count).
+ * sequence and union digest at any worker count) and scheduling
+ * contract (feedback-free strategies stream, feedback-driven ones keep
+ * the batch barrier, stops cut at the same batch boundary either way).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <numeric>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "guidance/adaptive_campaign.hh"
@@ -411,4 +422,346 @@ TEST(Guided, CampaignJsonHasZeroPredictedRacesBlock)
         EXPECT_NE(json.find(zero_block), std::string::npos)
             << "missing zero triage block in: " << json.substr(0, 400);
     }
+}
+
+namespace
+{
+
+/**
+ * A one-shot gate between shards. waitOpen()'s timeout is only a hang
+ * guard: tests assert on whether the gate was opened, never on time.
+ */
+class Gate
+{
+  public:
+    void
+    open()
+    {
+        {
+            std::lock_guard<std::mutex> lock(_mutex);
+            _open = true;
+        }
+        _cv.notify_all();
+    }
+
+    bool
+    waitOpen(std::chrono::milliseconds guard)
+    {
+        std::unique_lock<std::mutex> lock(_mutex);
+        return _cv.wait_for(lock, guard, [this] { return _open; });
+    }
+
+  private:
+    std::mutex _mutex;
+    std::condition_variable _cv;
+    bool _open = false;
+};
+
+/** A synthetic shard: runs @p body (no simulation) and passes. */
+ShardSpec
+scriptedShard(std::size_t i, std::function<void()> body = [] {})
+{
+    ShardSpec spec;
+    spec.name = "s" + std::to_string(i);
+    spec.seed = 100 + i;
+    spec.run = [name = spec.name, body] {
+        body();
+        ShardOutcome out;
+        out.name = name;
+        out.result.passed = true;
+        out.result.episodes = 1;
+        out.result.events = 10;
+        return out;
+    };
+    return spec;
+}
+
+/** Replays fixed batches under any strategy label. */
+class ScriptedSource : public ShardSource
+{
+  public:
+    ScriptedSource(Strategy strategy,
+                   std::vector<std::vector<ShardSpec>> batches)
+        : _strategy(strategy), _batches(std::move(batches))
+    {
+    }
+
+    Strategy strategy() const override { return _strategy; }
+
+    std::vector<ShardSpec>
+    nextBatch() override
+    {
+        if (_next == _batches.size())
+            return {};
+        return std::move(_batches[_next++]);
+    }
+
+  private:
+    Strategy _strategy;
+    std::vector<std::vector<ShardSpec>> _batches;
+    std::size_t _next = 0;
+};
+
+/**
+ * Decorates a source, forwarding only the ShardSource interface (as
+ * perfbench's tracing decorator does), and records what the loop asked
+ * of it: reported indices, pulls made while issued shards were still
+ * unreported, and calls from any thread but the constructing one.
+ */
+class RecordingSource : public ShardSource
+{
+  public:
+    explicit RecordingSource(ShardSource &inner) : _inner(inner) {}
+
+    Strategy strategy() const override { return _inner.strategy(); }
+
+    std::vector<ShardSpec>
+    nextBatch() override
+    {
+        noteThread();
+        if (issued != reported.size())
+            ++earlyPulls;
+        std::vector<ShardSpec> batch = _inner.nextBatch();
+        issued += batch.size();
+        return batch;
+    }
+
+    void
+    report(const ShardOutcome &outcome,
+           const ShardFeedback &feedback) override
+    {
+        noteThread();
+        reported.push_back(outcome.index);
+        _inner.report(outcome, feedback);
+    }
+
+    std::optional<GpuTestPreset>
+    presetForSeed(std::uint64_t seed) const override
+    {
+        noteThread();
+        return _inner.presetForSeed(seed);
+    }
+
+    std::vector<std::size_t> reported;
+    std::size_t issued = 0;
+    std::size_t earlyPulls = 0;
+    mutable bool offThread = false;
+
+  private:
+    void
+    noteThread() const
+    {
+        if (std::this_thread::get_id() != _drivingThread)
+            offThread = true;
+    }
+
+    ShardSource &_inner;
+    const std::thread::id _drivingThread = std::this_thread::get_id();
+};
+
+/** 0, 1, ..., n-1. */
+std::vector<std::size_t>
+iota(std::size_t n)
+{
+    std::vector<std::size_t> v(n);
+    std::iota(v.begin(), v.end(), std::size_t{0});
+    return v;
+}
+
+} // namespace
+
+TEST(AdaptiveCampaign, SweepStreamsPastAStraggler)
+{
+    // Batch 0's only shard can finish only once batch 1's shard has
+    // run: the loop must pull batch 1 while batch 0 is still running.
+    Gate gate;
+    bool released = false;
+    ScriptedSource script(
+        Strategy::Sweep,
+        {{scriptedShard(0,
+                        [&] {
+                            released =
+                                gate.waitOpen(std::chrono::seconds(60));
+                        })},
+         {scriptedShard(1, [&] { gate.open(); })}});
+    RecordingSource source(script);
+    AdaptiveCampaignConfig cfg;
+    cfg.jobs = 2;
+    AdaptiveCampaignResult res = runAdaptiveCampaign(source, cfg);
+
+    EXPECT_TRUE(released) << "batch 1 never ran beside batch 0";
+    EXPECT_GE(source.earlyPulls, 1u);
+    EXPECT_TRUE(res.passed);
+    EXPECT_EQ(res.rounds, 2u);
+    EXPECT_EQ(source.reported, iota(2));
+    EXPECT_FALSE(source.offThread);
+}
+
+TEST(AdaptiveCampaign, GuidedKeepsTheBatchBarrier)
+{
+    // The same shape under a feedback-driven label: batch 1 must not
+    // be pulled until batch 0 was reported, so the gate stays shut and
+    // batch 0's shard runs out its (short) guard.
+    Gate gate;
+    bool released = true;
+    ScriptedSource script(
+        Strategy::Guided,
+        {{scriptedShard(0,
+                        [&] {
+                            released = gate.waitOpen(
+                                std::chrono::milliseconds(200));
+                        })},
+         {scriptedShard(1, [&] { gate.open(); })}});
+    RecordingSource source(script);
+    AdaptiveCampaignConfig cfg;
+    cfg.jobs = 2;
+    AdaptiveCampaignResult res = runAdaptiveCampaign(source, cfg);
+
+    EXPECT_FALSE(released);
+    EXPECT_EQ(source.earlyPulls, 0u);
+    EXPECT_EQ(res.rounds, 2u);
+    EXPECT_EQ(source.reported, iota(2));
+    EXPECT_FALSE(source.offThread);
+}
+
+TEST(AdaptiveCampaign, FeedbackFreeAggregatesAreJobsInvariant)
+{
+    auto run = [](Strategy strategy, unsigned jobs) {
+        SourceConfig scfg = tinySourceConfig(3, 8);
+        std::unique_ptr<ShardSource> inner;
+        if (strategy == Strategy::Sweep)
+            inner = std::make_unique<SweepSource>(scfg);
+        else
+            inner = std::make_unique<RandomSource>(scfg);
+        RecordingSource source(*inner);
+        AdaptiveCampaignConfig cfg;
+        cfg.jobs = jobs;
+        AdaptiveCampaignResult res = runAdaptiveCampaign(source, cfg);
+        EXPECT_TRUE(res.passed);
+        EXPECT_EQ(source.reported, iota(8));
+        EXPECT_FALSE(source.offThread);
+        return adaptiveAggregatesJson(res, "gpu_tester");
+    };
+    for (Strategy s : {Strategy::Sweep, Strategy::Random}) {
+        const std::string serial = run(s, 1);
+        EXPECT_EQ(serial, run(s, 4)) << strategyName(s);
+        EXPECT_NE(serial.find("\"shards_run\":8"), std::string::npos);
+    }
+}
+
+TEST(AdaptiveCampaign, FailureStopsAtTheFailingBatchAtAnyJobs)
+{
+    // Four batches of two; s3 (the end of batch 1) throws. At jobs=4,
+    // s3 also waits until batch 2's s5 has run, so the loop has
+    // outcomes past the stopping batch in hand when it stops.
+    auto run = [](unsigned jobs) {
+        auto gate = std::make_shared<Gate>();
+        const bool wait_for_batch2 = jobs > 1;
+        std::vector<std::vector<ShardSpec>> batches(4);
+        for (std::size_t i = 0; i < 8; ++i) {
+            std::function<void()> body = [] {};
+            if (i == 3) {
+                body = [gate, wait_for_batch2] {
+                    if (wait_for_batch2) {
+                        EXPECT_TRUE(
+                            gate->waitOpen(std::chrono::seconds(60)));
+                    }
+                    throw std::runtime_error("boom");
+                };
+            } else if (i == 5) {
+                body = [gate] { gate->open(); };
+            }
+            batches[i / 2].push_back(scriptedShard(i, body));
+        }
+        ScriptedSource script(Strategy::Sweep, std::move(batches));
+        RecordingSource source(script);
+        AdaptiveCampaignConfig cfg;
+        cfg.jobs = jobs;
+        AdaptiveCampaignResult res = runAdaptiveCampaign(source, cfg);
+
+        EXPECT_FALSE(res.passed);
+        EXPECT_EQ(res.rounds, 2u);
+        EXPECT_EQ(res.shardsRun, 4u);
+        EXPECT_EQ(source.reported, iota(4));
+        EXPECT_FALSE(source.offThread);
+        EXPECT_TRUE(res.firstFailure.has_value());
+        if (res.firstFailure) {
+            EXPECT_EQ(res.firstFailure->name, "s3");
+            EXPECT_EQ(res.firstFailure->report, "boom");
+        }
+        EXPECT_EQ(res.firstFailureClass, FailureClass::Other);
+        return adaptiveAggregatesJson(res, "gpu_tester");
+    };
+    EXPECT_EQ(run(1), run(4));
+}
+
+TEST(AdaptiveCampaign, SerialFailureSkipsTheRestOfItsBatch)
+{
+    // As under a barrier at jobs=1: s4 fails mid-batch, so s5 never
+    // runs and nothing past the failure is reported.
+    bool s5_ran = false;
+    std::vector<std::vector<ShardSpec>> batches(3);
+    for (std::size_t i = 0; i < 9; ++i) {
+        std::function<void()> body = [] {};
+        if (i == 4)
+            body = [] { throw std::runtime_error("boom"); };
+        else if (i == 5)
+            body = [&s5_ran] { s5_ran = true; };
+        batches[i / 3].push_back(scriptedShard(i, body));
+    }
+    ScriptedSource script(Strategy::Sweep, std::move(batches));
+    RecordingSource source(script);
+    AdaptiveCampaignConfig cfg;
+    cfg.jobs = 1;
+    AdaptiveCampaignResult res = runAdaptiveCampaign(source, cfg);
+
+    EXPECT_FALSE(s5_ran);
+    EXPECT_EQ(res.rounds, 2u);
+    EXPECT_EQ(res.shardsRun, 5u);
+    EXPECT_EQ(source.reported, iota(5));
+}
+
+TEST(AdaptiveCampaign, SaturationStopsAtTheSameBatchAtAnyJobs)
+{
+    // Learn the union coverage after two batches, then demand exactly
+    // that: the campaign must stop at the same boundary at any jobs.
+    SweepSource probe(tinySourceConfig(7, 12));
+    AdaptiveCampaignResult full = runAdaptiveCampaign(probe);
+    ASSERT_EQ(full.curve.size(), 12u);
+    const double target =
+        std::min(full.curve[3].l1Pct, full.curve[3].l2Pct);
+    ASSERT_GT(target, 0.0);
+
+    auto run = [target](unsigned jobs) {
+        SweepSource inner(tinySourceConfig(7, 12));
+        RecordingSource source(inner);
+        AdaptiveCampaignConfig cfg;
+        cfg.jobs = jobs;
+        cfg.saturationPct = target;
+        AdaptiveCampaignResult res = runAdaptiveCampaign(source, cfg);
+
+        EXPECT_TRUE(res.passed);
+        EXPECT_LE(res.rounds, 2u);
+        EXPECT_EQ(res.shardsRun, 2 * res.rounds);
+        EXPECT_EQ(source.reported, iota(res.shardsRun));
+        EXPECT_FALSE(source.offThread);
+        return adaptiveAggregatesJson(res, "gpu_tester");
+    };
+    EXPECT_EQ(run(1), run(4));
+}
+
+TEST(AdaptiveCampaign, BusySecondsIsAVolatileField)
+{
+    SweepSource source(tinySourceConfig(1, 4));
+    AdaptiveCampaignConfig cfg;
+    cfg.jobs = 2;
+    AdaptiveCampaignResult res = runAdaptiveCampaign(source, cfg);
+    EXPECT_GT(res.busySeconds, 0.0);
+    EXPECT_LE(res.busySeconds, res.jobs * res.wallSeconds);
+    EXPECT_NE(adaptiveCampaignToJson(res, "gpu_tester").find(
+                  "\"busy_seconds\":"),
+              std::string::npos);
+    EXPECT_EQ(adaptiveAggregatesJson(res, "gpu_tester").find(
+                  "\"busy_seconds\":"),
+              std::string::npos);
 }

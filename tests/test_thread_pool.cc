@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -67,32 +69,32 @@ TEST(ThreadPool, JobsCanSubmitJobs)
 
 TEST(ThreadPool, WorkDistributesAcrossWorkers)
 {
-    // With more jobs than workers and a round-robin submit, at least
-    // two distinct threads must participate (work stealing guarantees
-    // no single worker hoards everything while others idle).
+    // Rendezvous: every job waits until two distinct workers have
+    // entered one. A pool that let one worker hoard the queue while
+    // the others idled would leave the first job waiting forever, so
+    // participation is checked without relying on timing; the timeout
+    // is only a hang guard.
     ThreadPool pool(4);
     std::mutex mutex;
+    std::condition_variable entered;
     std::set<std::thread::id> ids;
     std::atomic<int> count{0};
+    std::atomic<int> timedOut{0};
     for (int i = 0; i < 64; ++i) {
-        pool.submit([&mutex, &ids, &count] {
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                ids.insert(std::this_thread::get_id());
-            }
-            // Busy-spin briefly so jobs overlap on multi-core hosts.
-            std::atomic<int> spin{0};
-            while (spin.fetch_add(1, std::memory_order_relaxed) < 1000) {
-            }
+        pool.submit([&] {
+            std::unique_lock<std::mutex> lock(mutex);
+            ids.insert(std::this_thread::get_id());
+            entered.notify_all();
+            if (!entered.wait_for(lock, std::chrono::seconds(60),
+                                  [&] { return ids.size() >= 2; }))
+                ++timedOut;
             ++count;
         });
     }
     pool.waitIdle();
     EXPECT_EQ(count.load(), 64);
-    EXPECT_GE(ids.size(), 1u);
-    if (std::thread::hardware_concurrency() > 1) {
-        EXPECT_GE(ids.size(), 2u);
-    }
+    EXPECT_EQ(timedOut.load(), 0);
+    EXPECT_GE(ids.size(), 2u);
 }
 
 TEST(ThreadPool, SubmitFromManyThreads)
