@@ -25,7 +25,6 @@
 
 #include "campaign/campaign_json.hh"
 #include "campaign/journal.hh"
-#include "campaign/merge_stream.hh"
 #include "campaign/posix_io.hh"
 #include "chaos/chaos.hh"
 #include "chaos/disk_chaos.hh"
@@ -46,7 +45,7 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/** Deep-copy an outcome (grids included) for the streaming merge. */
+/** Deep-copy an outcome, grids included. */
 ShardOutcome
 cloneOutcome(const ShardOutcome &src)
 {
@@ -129,6 +128,8 @@ struct FleetCoordinator::Impl
 {
     ShardSource &source;
     const CoordinatorConfig cfg;
+    /** Pulled batches not yet drained; the pull rule. */
+    BatchWindow window;
 
     int listenFd = -1;
     unsigned short portBound = 0;
@@ -172,12 +173,12 @@ struct FleetCoordinator::Impl
     std::vector<std::shared_ptr<Worker>> workers;
     std::deque<ShardLease> pending; ///< unleased, index order
     std::map<std::size_t, OutstandingLease> outstanding;
-    std::map<std::size_t, Arrived> batchResults;
-    std::set<std::size_t> batchIndices;
+    /** First trusted result per index of every undrained batch. */
+    std::map<std::size_t, Arrived> results;
     /** Indices caught diverging: socket results are quarantined until
      *  the local authoritative re-run lands. */
     std::set<std::size_t> poisoned;
-    /** Indices already duplicated for quorum this batch. */
+    /** Undrained indices already duplicated for quorum. */
     std::set<std::size_t> quorumIssued;
     /** One in-flight cross-check: when it was issued and to whom. */
     struct PendingCheck
@@ -185,27 +186,23 @@ struct FleetCoordinator::Impl
         Clock::time_point issuedAt;
         const Worker *verifier = nullptr;
     };
-    /** Sampled indices whose second answer hasn't arrived: the batch
-     *  barrier holds for these (else a lying primary result could
-     *  seal the batch before its cross-check lands and the straggler
-     *  verdict would be discarded). A check is abandoned when its
+    /** Sampled indices whose second answer hasn't arrived: their batch
+     *  does not drain while these are pending (else a lying primary
+     *  result could be merged before its cross-check lands and the
+     *  straggler verdict would be discarded). A check is abandoned when its
      *  verifier dies or a generous deadline passes — never on the
      *  lease timeout, which is transport-scale while the verifier is
      *  legitimately busy draining its own queue first. */
     std::map<std::size_t, PendingCheck> quorumPending;
     /** Diverged leases awaiting their authoritative local re-run. */
     std::deque<ShardLease> repairQueue;
-    /** Set at the batch barrier: late arrivals (straggler quorum
-     *  duplicates) must not reopen a batch being drained/journaled. */
-    bool batchSealed = false;
 
-    std::unique_ptr<StreamingShardMerge> merge;
     std::unique_ptr<ShardRunner> localRunner;
 
     FleetResult stats;
 
     Impl(ShardSource &src, const CoordinatorConfig &c)
-        : source(src), cfg(c)
+        : source(src), cfg(c), window(src, c.maxRounds)
     {
         io::ignoreSigpipe();
     }
@@ -303,6 +300,7 @@ struct FleetCoordinator::Impl
                 workers.push_back(worker);
                 ++stats.workersSeen;
                 topUpLocked(*worker);
+                enforceQuorumLocked();
             }
             worker->reader =
                 std::thread([this, worker] { readerLoop(worker); });
@@ -351,10 +349,12 @@ struct FleetCoordinator::Impl
                     ++worker->completed;
                     handleResultLineLocked(line, *worker);
                     topUpLocked(*worker);
+                    enforceQuorumLocked();
                     break;
                   }
                   case MsgType::Steal:
                     topUpLocked(*worker);
+                    enforceQuorumLocked();
                     stealForLocked(*worker);
                     break;
                   case MsgType::Heartbeat:
@@ -417,9 +417,7 @@ struct FleetCoordinator::Impl
             outstanding.end();
         for (auto it = outstanding.begin(); it != outstanding.end();
              ++it) {
-            if (it->second.holders != 1)
-                continue;
-            if (batchResults.count(it->first))
+            if (it->second.holders != 1 || settledLocked(it->first))
                 continue;
             double age = std::chrono::duration<double>(
                              now - it->second.issuedAt)
@@ -453,7 +451,7 @@ struct FleetCoordinator::Impl
         std::vector<ShardLease> returned;
         for (std::size_t index : worker.held) {
             auto it = outstanding.find(index);
-            if (it == outstanding.end() || batchResults.count(index))
+            if (it == outstanding.end() || settledLocked(index))
                 continue;
             if (--it->second.holders == 0) {
                 returned.push_back(it->second.lease);
@@ -497,7 +495,7 @@ struct FleetCoordinator::Impl
             return;
         Clock::time_point now = Clock::now();
         for (auto &[index, ol] : outstanding) {
-            if (ol.holders != 1 || batchResults.count(index))
+            if (ol.holders != 1 || settledLocked(index))
                 continue;
             if (secondsSince(ol.issuedAt) < 0 ||
                 std::chrono::duration<double>(now - ol.issuedAt)
@@ -536,8 +534,8 @@ struct FleetCoordinator::Impl
      * Opt-in result verification: duplicate every sampled outstanding
      * lease (index % verifyQuorum == 0) onto a second worker so two
      * independent processes answer the same shard. Runs under the same
-     * mutex hold as the staging top-up, so a sampled result cannot
-     * arrive before its duplicate is issued. Candidates are collected
+     * mutex hold as every top-up, so a sampled result cannot arrive
+     * before its duplicate is issued. Candidates are collected
      * before any lease is sent: sendLeaseLocked can mark a worker dead
      * and mutate `outstanding` mid-iteration.
      */
@@ -550,7 +548,7 @@ struct FleetCoordinator::Impl
         for (auto &[index, ol] : outstanding) {
             if (index % cfg.verifyQuorum != 0 || ol.holders != 1)
                 continue;
-            if (batchResults.count(index) || poisoned.count(index) ||
+            if (settledLocked(index) || poisoned.count(index) ||
                 quorumIssued.count(index))
                 continue;
             candidates.push_back(index);
@@ -585,8 +583,8 @@ struct FleetCoordinator::Impl
 
     /** Abandon cross-checks that can no longer resolve — the verifier
      *  died, or a deadline sized for whole shard queues (not frames)
-     *  passed. Sampling is best-effort under churn, but the barrier
-     *  must always become passable. */
+     *  passed. Sampling is best-effort under churn, but every batch
+     *  must always become drainable. */
     void
     expireQuorumLocked()
     {
@@ -604,14 +602,61 @@ struct FleetCoordinator::Impl
         }
     }
 
-    bool
-    anyAliveLocked() const
+    std::size_t
+    aliveLocked() const
     {
-        for (const auto &worker : workers) {
-            if (worker->alive)
-                return true;
-        }
-        return false;
+        std::size_t alive = 0;
+        for (const auto &worker : workers)
+            alive += worker->alive ? 1 : 0;
+        return alive;
+    }
+
+    /** True once @p index has a trusted result (or already drained). */
+    bool
+    settledLocked(std::size_t index) const
+    {
+        return index < window.drained() || results.count(index) != 0;
+    }
+
+    /** No worker can take leases: the coordinator runs them itself. */
+    bool
+    noFleetLocked() const
+    {
+        return cfg.expectedWorkers == 0 ||
+               (cfg.localFallback && aliveLocked() == 0);
+    }
+
+    /**
+     * The shared pull rule (BatchWindow) over the fleet's numbers:
+     * shards leased or pending against what the alive workers can hold
+     * (at least one, for the coordinator itself or late joiners).
+     */
+    bool
+    mayPullLocked() const
+    {
+        std::size_t capacity =
+            std::max<std::size_t>(1, aliveLocked() * cfg.queueDepth);
+        return window.mayPull(outstanding.size() + pending.size(),
+                              capacity);
+    }
+
+    /** The front batch may drain: every index answered, no quorum
+     *  cross-check still pending. */
+    bool
+    frontReadyLocked() const
+    {
+        return window.frontDone([this](std::size_t i) {
+            return results.count(i) != 0 && quorumPending.count(i) == 0;
+        });
+    }
+
+    /** Something for the driving thread to do besides waiting. */
+    bool
+    driverWorkLocked() const
+    {
+        return frontReadyLocked() || mayPullLocked() ||
+               !repairQueue.empty() ||
+               (noFleetLocked() && !pending.empty());
     }
 
     // ---- result intake ----------------------------------------------
@@ -647,11 +692,6 @@ struct FleetCoordinator::Impl
         }
         (void)from;
 
-        if (batchSealed) {
-            ++stats.duplicateResults;
-            return;
-        }
-
         if (poisoned.count(index)) {
             // Straggler answer for a shard already caught diverging:
             // only the local authoritative re-run may settle it.
@@ -660,20 +700,22 @@ struct FleetCoordinator::Impl
             return;
         }
 
-        auto existing = batchResults.find(index);
-        if (existing != batchResults.end())
+        // A second answer for an undrained index is compared with the
+        // first; one for an index whose batch already drained (a steal
+        // straggler) is a plain duplicate.
+        auto existing = results.find(index);
+        if (existing != results.end())
             quorumPending.erase(index); // cross-check resolved
-        if (!batchIndices.count(index) ||
-            existing != batchResults.end()) {
-            if (existing != batchResults.end() &&
+        if (!window.holds(index) || existing != results.end()) {
+            if (existing != results.end() &&
                 !existing->second.resumed &&
                 existing->second.key != canonicalResultKey(out)) {
                 // Two workers returned byte-different records for the
                 // same deterministic shard: one of them lied without
                 // tripping CRC or digest. Neither copy can be trusted
                 // — quarantine the index and queue the authoritative
-                // local tiebreak (which re-offers into the merge,
-                // last-wins, before the batch drains).
+                // local tiebreak, which lands before the batch can
+                // drain.
                 ++stats.quorumDivergences;
                 stats.divergedIndices.push_back(index);
                 ShardLease repair = existing->second.hasLease
@@ -683,7 +725,7 @@ struct FleetCoordinator::Impl
                     // Quarantined until the re-run lands; without a
                     // lease to re-run from (shouldn't happen for
                     // leased shards) the first answer has to stand.
-                    batchResults.erase(existing);
+                    results.erase(existing);
                     poisoned.insert(index);
                     repairQueue.push_back(std::move(repair));
                 }
@@ -692,30 +734,74 @@ struct FleetCoordinator::Impl
             ++stats.duplicateResults;
             return;
         }
-        merge->offer(cloneOutcome(out), /*resumed=*/false);
         std::string key = canonicalResultKey(out);
-        batchResults.emplace(index,
-                             Arrived{std::move(out), line,
-                                     std::move(key), false, lease,
-                                     has_lease});
+        results.emplace(index, Arrived{std::move(out), line,
+                                       std::move(key), false, lease,
+                                       has_lease});
     }
 
+    /**
+     * Stage a batch just pulled from the window: adopt journaled
+     * shards, queue leases for the rest, and collect the shards no
+     * lease can describe in @p local_only (run them unlocked).
+     */
     void
-    adoptResumedLocked(ShardOutcome &&out)
+    stageLocked(std::vector<ShardSpec> batch,
+                std::map<std::size_t, ShardOutcome> &adoptable,
+                std::vector<std::pair<ShardSpec, std::size_t>> &local_only)
     {
-        std::size_t index = out.index;
-        merge->offer(cloneOutcome(out), /*resumed=*/true);
-        batchResults.emplace(index, Arrived{std::move(out),
-                                            std::string(),
-                                            std::string(), true});
-        ++stats.shardsResumed;
+        std::size_t index = window.end() - batch.size();
+        for (ShardSpec &spec : batch) {
+            auto adopt = adoptable.find(index);
+            if (adopt != adoptable.end() &&
+                adopt->second.name == spec.name &&
+                adopt->second.seed == spec.seed) {
+                results.emplace(index,
+                                Arrived{std::move(adopt->second),
+                                        std::string(), std::string(),
+                                        true, ShardLease{}, false});
+                adoptable.erase(adopt);
+            } else if (std::optional<ShardLease> lease =
+                           source.leaseForSeed(spec.seed);
+                       lease && lease->name == spec.name) {
+                lease->index = index;
+                pending.push_back(std::move(*lease));
+            } else {
+                // Not describable on the wire: run it here.
+                local_only.emplace_back(std::move(spec), index);
+            }
+            ++index;
+        }
+        topUpAllLocked();
+        // Quorum duplicates go out under this same mutex hold, so no
+        // sampled result can arrive before its duplicate lease exists
+        // (a result beating the duplicate would retire the lease and
+        // the comparison would silently never happen).
+        enforceQuorumLocked();
     }
 
+    /**
+     * If the front batch is ready, move its results out in index order
+     * and retire it: later arrivals for its indices are duplicates.
+     */
     bool
-    batchCompleteLocked() const
+    takeFront(std::vector<Arrived> &ready)
     {
-        return batchResults.size() == batchIndices.size() &&
-               quorumPending.empty();
+        std::lock_guard<std::mutex> lock(mutex);
+        ready.clear();
+        if (!frontReadyLocked())
+            return false;
+        for (std::size_t i = window.front().first; i < window.front().end;
+             ++i) {
+            auto it = results.find(i);
+            if (it->second.resumed)
+                ++stats.shardsResumed;
+            ready.push_back(std::move(it->second));
+            results.erase(it);
+            quorumIssued.erase(i);
+        }
+        window.popFront();
+        return true;
     }
 
     // ---- local execution (coordinator as worker of last resort) -----
@@ -740,10 +826,9 @@ struct FleetCoordinator::Impl
     /**
      * Settle diverged shards: re-run each quarantined lease here,
      * through the deterministic local ShardRunner, and install that
-     * answer as authoritative. The merge still holds the first
-     * (untrusted) copy buffered; offering again before drainSorted
-     * replaces it (buffered-duplicate-last-wins), so the corrupt
-     * result never reaches the aggregates.
+     * answer as authoritative. The untrusted copies were discarded and
+     * their batch cannot drain until this lands, so the corrupt result
+     * never reaches the merge or the aggregates.
      */
     bool
     drainRepairs()
@@ -769,9 +854,8 @@ struct FleetCoordinator::Impl
                 ++stats.localRuns;
                 std::size_t index = lease.index;
                 poisoned.erase(index);
-                merge->offer(cloneOutcome(out), /*resumed=*/false);
                 std::string key = canonicalResultKey(out);
-                batchResults[index] = Arrived{
+                results[index] = Arrived{
                     std::move(out), std::move(line), std::move(key),
                     false, lease, true};
                 cv.notify_all();
@@ -792,10 +876,7 @@ struct FleetCoordinator::Impl
             ShardLease lease;
             {
                 std::lock_guard<std::mutex> lock(mutex);
-                bool no_fleet = cfg.expectedWorkers == 0 ||
-                                (cfg.localFallback &&
-                                 !anyAliveLocked());
-                if (!no_fleet || pending.empty())
+                if (!noFleetLocked() || pending.empty())
                     return ran;
                 lease = std::move(pending.front());
                 pending.pop_front();
@@ -887,8 +968,8 @@ FleetCoordinator::run()
     merge_cfg.stopOnFailure = false;
     merge_cfg.stopOnHostFailure = false;
     merge_cfg.coverageTestType = cfg.campaign.coverageTestType;
-    im.merge = std::make_unique<StreamingShardMerge>(merge_cfg, 0);
-    im.merge->setJobs(std::max(1u, cfg.expectedWorkers));
+    ShardMerge merge(merge_cfg, 0);
+    merge.setJobs(std::max(1u, cfg.expectedWorkers));
 
     // Resume pass: adoptable records, keyed by global shard index.
     // Damaged records (CRC failure, torn tail) are self-healed by
@@ -962,111 +1043,64 @@ FleetCoordinator::run()
 
     FeedbackLoop loop(im.source, cfg.campaign);
     Clock::time_point start = Clock::now();
-    std::size_t next_index = 0;
-    std::size_t rounds = 0;
-    bool source_drained = false;
+    bool stopped = false;
+    std::vector<Impl::Arrived> ready;
 
     for (;;) {
-        if (cfg.maxRounds != 0 && rounds >= cfg.maxRounds)
-            break;
-        std::vector<ShardSpec> batch = im.source.nextBatch();
-        if (batch.empty()) {
-            source_drained = true;
-            break;
-        }
-        loop.beginRound();
-        ++rounds;
-
-        // Stage the batch: adopt journaled shards, lease the rest.
+        // Pull and stage every batch the pull rule admits right now:
+        // sweep and random while the fleet has room, so a worker that
+        // reports finds a lease waiting; guided and explore only once
+        // the previous batch drained.
         std::vector<std::pair<ShardSpec, std::size_t>> local_only;
         {
             std::lock_guard<std::mutex> lock(im.mutex);
-            im.batchResults.clear();
-            im.batchIndices.clear();
-            im.poisoned.clear();
-            im.quorumIssued.clear();
-            im.quorumPending.clear();
-            im.batchSealed = false;
-            for (ShardSpec &spec : batch) {
-                std::size_t index = next_index++;
-                im.batchIndices.insert(index);
-
-                auto adopt = adoptable.find(index);
-                if (adopt != adoptable.end() &&
-                    adopt->second.name == spec.name &&
-                    adopt->second.seed == spec.seed) {
-                    im.adoptResumedLocked(std::move(adopt->second));
-                    adoptable.erase(adopt);
-                    continue;
-                }
-
-                std::optional<ShardLease> lease =
-                    im.source.leaseForSeed(spec.seed);
-                if (!lease || lease->name != spec.name) {
-                    // Not describable on the wire: run it here.
-                    local_only.emplace_back(std::move(spec), index);
-                    continue;
-                }
-                lease->index = index;
-                im.pending.push_back(std::move(*lease));
+            while (im.mayPullLocked()) {
+                std::vector<ShardSpec> batch = im.window.pull();
+                if (batch.empty())
+                    break;
+                im.stageLocked(std::move(batch), adoptable, local_only);
             }
-            im.topUpAllLocked();
-            // Quorum duplicates go out under this same mutex hold, so
-            // no sampled result can arrive before its duplicate lease
-            // exists (a result beating the duplicate would retire the
-            // lease and the comparison would silently never happen).
-            im.enforceQuorumLocked();
+            if (im.window.empty())
+                break;
         }
         for (auto &[spec, index] : local_only)
             im.runLocally(std::move(spec), index);
+        im.drainPendingLocally();
+        im.drainRepairs();
 
-        // Barrier: every index of this batch must have a result.
-        for (;;) {
-            im.drainPendingLocally();
-            im.drainRepairs();
-            std::unique_lock<std::mutex> lock(im.mutex);
-            if (im.batchCompleteLocked()) {
-                im.batchSealed = true;
-                break;
-            }
-            im.cv.wait_for(lock, std::chrono::milliseconds(100));
-            im.reapSilentLocked();
-            im.releaseOverdueLocked();
-            im.topUpAllLocked();
-            im.enforceQuorumLocked();
-            im.expireQuorumLocked();
-            if (im.batchCompleteLocked()) {
-                im.batchSealed = true;
-                break;
-            }
-        }
-
-        // Merge + journal + feedback, strictly in index order.
-        double wall = secondsSince(start);
-        im.merge->drainSorted(wall);
-        {
-            std::lock_guard<std::mutex> lock(im.mutex);
-            for (std::size_t index : im.batchIndices) {
-                const Impl::Arrived &arrived =
-                    im.batchResults.at(index);
+        // Merge + journal + feedback for each complete batch at the
+        // front of the window, strictly in index order. After a stop,
+        // batches pulled ahead are never merged, journaled or reported.
+        while (!stopped && im.takeFront(ready)) {
+            double wall = secondsSince(start);
+            for (const Impl::Arrived &arrived : ready) {
                 if (!arrived.resumed && journal.ok())
                     journal.append(arrived.line);
             }
+            journal.flush(/*sync=*/true);
+            loop.beginRound();
+            for (Impl::Arrived &arrived : ready) {
+                loop.onOutcome(arrived.out, wall);
+                merge.add(std::move(arrived.out), wall, arrived.resumed);
+            }
+            stopped = loop.stopRequested();
         }
-        journal.flush(/*sync=*/true);
-        {
-            std::lock_guard<std::mutex> lock(im.mutex);
-            for (std::size_t index : im.batchIndices)
-                loop.onOutcome(im.batchResults.at(index).out, wall);
-        }
-        if (loop.stopRequested())
+        if (stopped)
             break;
+
+        std::unique_lock<std::mutex> lock(im.mutex);
+        im.cv.wait_for(lock, std::chrono::milliseconds(100),
+                       [&im] { return im.driverWorkLocked(); });
+        im.reapSilentLocked();
+        im.releaseOverdueLocked();
+        im.topUpAllLocked();
+        im.enforceQuorumLocked();
+        im.expireQuorumLocked();
     }
 
-    im.stats.halted = !source_drained && cfg.maxRounds != 0 &&
-                      rounds >= cfg.maxRounds && !loop.stopRequested();
+    im.stats.halted = im.window.capped() && !stopped;
     if (im.stats.halted)
-        im.merge->markInterrupted();
+        merge.markInterrupted();
 
     im.stopFleet();
     journal.flush(/*sync=*/true);
@@ -1078,7 +1112,7 @@ FleetCoordinator::run()
                         : std::max(1u, im.stats.workersSeen);
     FleetResult result = std::move(im.stats);
     result.adaptive = loop.take(wall, jobs);
-    result.campaign = im.merge->take(wall);
+    result.campaign = merge.take(wall);
     return result;
 }
 
@@ -1088,6 +1122,9 @@ fleetTriageJson(const FleetResult &result)
     JsonWriter w;
     w.beginObject();
     w.key("workers_seen").value(result.workersSeen);
+    w.key("workers").value(result.adaptive.jobs);
+    w.key("wall_seconds").value(result.adaptive.wallSeconds);
+    w.key("busy_seconds").value(result.adaptive.busySeconds);
     w.key("leases_issued").value(result.leasesIssued);
     w.key("releases").value(result.releases);
     w.key("duplicate_results").value(result.duplicateResults);

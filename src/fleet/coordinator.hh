@@ -10,15 +10,24 @@
  * thing that parallelizes perfectly: shard execution, which is a pure
  * function of (genome, scale, seed).
  *
- * Scheduling is batch-synchronous: one source batch is leased out,
- * executed fleet-wide, and fully merged (results drained in global
- * shard-index order) before the source sees any feedback or issues the
- * next batch. Results stream in over sockets in arbitrary order and
- * land in a StreamingShardMerge immediately (incremental merge); the
- * index-ordered drain at the batch barrier is what makes the guided
- * scheduler's decision sequence — and every aggregate — a pure
- * function of the master seed, whatever the worker count, arrival
- * order, steal history, or resume state.
+ * Scheduling streams where it can. The coordinator pulls batches
+ * through the same pull rule and reorder window as the in-process loop
+ * (BatchWindow, guidance/adaptive_campaign.hh). A feedbackFree() source
+ * (sweep, random) is asked for its next batch whenever fewer shards
+ * are leased or pending than the alive workers can hold (workers ×
+ * queueDepth), so a freed queue slot is refilled at once and no batch
+ * waits for its predecessor's straggler. A guided or explore source keeps the batch
+ * barrier: its next batch is pulled only after the previous one fully
+ * drained. Either way results arrive over sockets in arbitrary order
+ * and wait, keyed by global shard index, until their batch is the
+ * oldest one pulled and complete (every index answered, no quorum
+ * cross-check pending). Then the batch drains — merge, journal and
+ * feedback, strictly in global shard-index order — and the stop policy
+ * runs at that batch boundary. That index-ordered drain is what makes
+ * the guided scheduler's decision sequence, and every aggregate, a
+ * pure function of the master seed, whatever the worker count, arrival
+ * order, steal history, or resume state. Outcomes of batches pulled
+ * ahead of a stop are never merged, journaled or reported.
  *
  * Resilience: workers heartbeat; a worker that disconnects, dies, or
  * goes silent past the heartbeat timeout has its outstanding leases
@@ -123,7 +132,7 @@ struct CoordinatorConfig
 struct FleetResult
 {
     AdaptiveCampaignResult adaptive;
-    /** The StreamingShardMerge's view (throughput, triage, unions). */
+    /** The shard merge's view (throughput, triage, unions). */
     CampaignResult campaign;
 
     unsigned workersSeen = 0;       ///< connections accepted
@@ -152,7 +161,12 @@ struct FleetResult
 /**
  * Render the fleet's integrity/triage counters as JSON — everything
  * that must NOT feed the deterministic aggregates (detection counts
- * depend on timing and fault schedules; aggregates must not).
+ * depend on timing and fault schedules; aggregates must not). It also
+ * carries the campaign's wall_seconds, busy_seconds (host seconds of
+ * the reported shards summed) and workers (executors: connections
+ * accepted, or 1 when the coordinator ran every shard), so fleet idle
+ * time is workers × wall_seconds − busy_seconds. On a resumed campaign
+ * busy_seconds includes the journaled host seconds of adopted shards.
  */
 std::string fleetTriageJson(const FleetResult &result);
 

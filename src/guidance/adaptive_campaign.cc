@@ -5,7 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <mutex>
 #include <utility>
 
@@ -176,22 +176,54 @@ class Mailbox
     std::vector<Post> _posts;
 };
 
-/** A pulled batch waiting for its outcomes (the reorder buffer). */
-struct PendingBatch
-{
-    std::size_t first = 0; ///< global index of its first shard
-    std::vector<std::optional<ShardOutcome>> outcomes;
-    std::size_t posted = 0;
-
-    bool complete() const { return posted == outcomes.size(); }
-};
-
 } // namespace
+
+BatchWindow::BatchWindow(ShardSource &source, std::size_t max_batches)
+    : _source(source), _streaming(feedbackFree(source.strategy())),
+      _maxBatches(max_batches)
+{
+}
+
+bool
+BatchWindow::mayPull(std::size_t in_flight, std::size_t capacity) const
+{
+    if (_exhausted || capped())
+        return false;
+    return _streaming ? in_flight < capacity : _batches.empty();
+}
+
+std::vector<ShardSpec>
+BatchWindow::pull()
+{
+    std::vector<ShardSpec> batch = _source.nextBatch();
+    if (batch.empty()) {
+        _exhausted = true;
+        return batch;
+    }
+    ++_pulled;
+    _batches.push_back({_end, _end + batch.size()});
+    _end += batch.size();
+    return batch;
+}
+
+void
+BatchWindow::popFront()
+{
+    _drained = _batches.front().end;
+    _batches.pop_front();
+}
+
+bool
+BatchWindow::capped() const
+{
+    return !_exhausted && _maxBatches != 0 && _pulled >= _maxBatches;
+}
 
 AdaptiveCampaignResult
 runAdaptiveCampaign(ShardSource &source, const AdaptiveCampaignConfig &cfg)
 {
     FeedbackLoop loop(source, cfg);
+    BatchWindow window(source);
     const bool streaming = feedbackFree(source.strategy());
     const unsigned jobs =
         cfg.jobs != 0 ? cfg.jobs : ThreadPool::defaultThreads();
@@ -203,20 +235,15 @@ runAdaptiveCampaign(ShardSource &source, const AdaptiveCampaignConfig &cfg)
     // and to 0 once the loop stops.
     std::atomic<std::size_t> skipAfter{SIZE_MAX};
     Mailbox mailbox;
-    std::deque<PendingBatch> pending;
-    std::size_t issued = 0;  ///< shards submitted to the pool
+    // Posted outcomes of undrained batches, by global index (nullopt:
+    // the shard skipped itself).
+    std::map<std::size_t, std::optional<ShardOutcome>> arrived;
     std::size_t running = 0; ///< submitted shards not yet posted
-    bool exhausted = false;
     // Declared after everything its jobs touch, so it drains first.
     std::optional<ThreadPool> pool;
 
     // Every ShardSource call below stays on this driving thread.
-    auto pull = [&] {
-        std::vector<ShardSpec> batch = source.nextBatch();
-        if (batch.empty()) {
-            exhausted = true;
-            return;
-        }
+    auto submit = [&](std::vector<ShardSpec> batch) {
         // A barrier runs one batch at a time, so its pool grows (idle,
         // between batches) only to the largest batch: a thread beyond
         // that would only take turns with the others, and each thread
@@ -227,10 +254,9 @@ runAdaptiveCampaign(ShardSource &source, const AdaptiveCampaignConfig &cfg)
                             jobs, batch.size()));
         if (!pool || pool->threadCount() < want)
             pool.emplace(want);
-        pending.push_back({issued, {}, 0});
-        pending.back().outcomes.resize(batch.size());
+        std::size_t index = window.end() - batch.size();
         for (ShardSpec &spec : batch) {
-            pool->submit([&, index = issued++, spec = std::move(spec)] {
+            pool->submit([&, index = index++, spec = std::move(spec)] {
                 if (index > skipAfter.load(std::memory_order_acquire)) {
                     mailbox.post(index, std::nullopt);
                     return;
@@ -250,35 +276,35 @@ runAdaptiveCampaign(ShardSource &source, const AdaptiveCampaignConfig &cfg)
     };
 
     for (;;) {
-        // Feedback-free sources top the pool up whenever a worker
-        // would go idle; the others wait for their batch's feedback.
-        while (!exhausted && (streaming ? running < jobs : pending.empty()))
-            pull();
-        if (pending.empty())
+        while (window.mayPull(running, jobs)) {
+            std::vector<ShardSpec> batch = window.pull();
+            if (batch.empty())
+                break;
+            submit(std::move(batch));
+        }
+        if (window.empty())
             break;
 
         for (Mailbox::Post &post : mailbox.wait()) {
             --running;
-            auto batch = std::find_if(
-                pending.begin(), pending.end(),
-                [&](const PendingBatch &b) {
-                    return post.first < b.first + b.outcomes.size();
-                });
-            batch->outcomes[post.first - batch->first] =
-                std::move(post.second);
-            ++batch->posted;
+            arrived.emplace(post.first, std::move(post.second));
         }
 
         // Drain complete batches in index order: the source sees the
         // same stream, and the stop policy runs at the same batch
         // boundaries, as under a barrier.
+        auto posted = [&](std::size_t i) { return arrived.count(i) != 0; };
         bool stop = false;
-        while (!stop && !pending.empty() && pending.front().complete()) {
+        while (!stop && window.frontDone(posted)) {
             loop.beginRound();
-            for (std::optional<ShardOutcome> &out : pending.front().outcomes)
-                if (out)
-                    loop.onOutcome(*out, secondsSince(start));
-            pending.pop_front();
+            for (std::size_t i = window.front().first;
+                 i < window.front().end; ++i) {
+                auto it = arrived.find(i);
+                if (it->second)
+                    loop.onOutcome(*it->second, secondsSince(start));
+                arrived.erase(it);
+            }
+            window.popFront();
             stop = loop.stopRequested();
         }
         if (stop) {

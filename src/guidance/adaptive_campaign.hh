@@ -11,7 +11,9 @@
  * feedbackFree() source (sweep, random) is asked again as soon as a
  * worker would otherwise go idle, so a straggler no longer idles the
  * pool; a feedback-driven one (guided, explore) only after every shard
- * of its previous batch was reported.
+ * of its previous batch was reported. That pull rule and the reorder
+ * window live in BatchWindow, which the fleet coordinator (src/fleet)
+ * schedules through as well.
  *
  * Determinism contract: per-shard results are bit-exact functions of
  * (configuration, seed); the source only ever observes the
@@ -30,6 +32,8 @@
 
 #ifndef DRF_GUIDANCE_ADAPTIVE_CAMPAIGN_HH
 #define DRF_GUIDANCE_ADAPTIVE_CAMPAIGN_HH
+
+#include <deque>
 
 #include "guidance/sources.hh"
 #include "tester/tester_failure.hh"
@@ -148,6 +152,97 @@ class FeedbackLoop
     AdaptiveCampaignResult _res;
     CoverageAccumulator _l1;
     CoverageAccumulator _l2;
+};
+
+/**
+ * The scheduling half of the adaptive loop, shared by
+ * runAdaptiveCampaign and the fleet coordinator (src/fleet): the pull
+ * rule that decides when the source is asked for its next batch, and
+ * the reorder window of batches pulled but not yet drained. Outcomes
+ * themselves stay with the caller, keyed by global shard index; the
+ * window only says which index range drains next.
+ *
+ * The pull rule keys off feedbackFree(source.strategy()): a sweep or
+ * random source is pulled whenever fewer shards are in flight than the
+ * executors can hold, so no batch waits for its predecessor's
+ * straggler; a guided or explore source only once every pulled batch
+ * drained (the batch barrier). Either way batches drain strictly in
+ * pull order, each through FeedbackLoop in global index order.
+ */
+class BatchWindow
+{
+  public:
+    /** Global shard indices [first, end) of one pulled batch. */
+    struct Range
+    {
+        std::size_t first = 0;
+        std::size_t end = 0;
+    };
+
+    /** @p max_batches caps the batches ever pulled; 0 means no cap. */
+    explicit BatchWindow(ShardSource &source, std::size_t max_batches = 0);
+
+    /**
+     * The pull rule: true if the next batch may be pulled while
+     * @p in_flight shards are issued but unfinished and the executors
+     * hold @p capacity.
+     */
+    bool mayPull(std::size_t in_flight, std::size_t capacity) const;
+
+    /**
+     * Pull the next batch; its shards take the global indices from
+     * end() − size() on. An empty batch means the source ran dry.
+     */
+    std::vector<ShardSpec> pull();
+
+    /** No pulled batch is waiting to drain. */
+    bool empty() const { return _batches.empty(); }
+
+    /** The oldest undrained batch: the only one that may drain. */
+    const Range &front() const { return _batches.front(); }
+
+    /** True if @p done(i) holds for every index i of the front batch
+     *  (false when no batch is waiting). */
+    template <typename Done>
+    bool
+    frontDone(Done done) const
+    {
+        if (_batches.empty())
+            return false;
+        for (std::size_t i = front().first; i < front().end; ++i) {
+            if (!done(i))
+                return false;
+        }
+        return true;
+    }
+
+    /** Retire the front batch after feeding it back. */
+    void popFront();
+
+    /** Every index below this has drained. */
+    std::size_t drained() const { return _drained; }
+
+    /** One past the last index pulled. */
+    std::size_t end() const { return _end; }
+
+    /** True if @p index was pulled and has not drained yet. */
+    bool holds(std::size_t index) const
+    {
+        return index >= _drained && index < _end;
+    }
+
+    /** Pulls stopped at max_batches with the source not run dry. */
+    bool capped() const;
+
+  private:
+    ShardSource &_source;
+    const bool _streaming;
+    const std::size_t _maxBatches;
+    std::deque<Range> _batches;
+    std::size_t _pulled = 0;
+    std::size_t _drained = 0;
+    std::size_t _end = 0;
+    bool _exhausted = false;
 };
 
 /** Drive @p source to completion under @p cfg. */

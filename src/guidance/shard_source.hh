@@ -53,10 +53,11 @@ const char *strategyName(Strategy s);
 
 /**
  * True for strategies whose batches never depend on reported feedback
- * (sweep, random). The adaptive loop streams their batches through the
- * pool with no batch barrier; feedback-driven strategies keep it. The
- * loop keys off ShardSource::strategy(), so a decorating source that
- * forwards strategy() keeps its inner source's scheduling.
+ * (sweep, random). The adaptive loop and the fleet coordinator stream
+ * their batches to the executors with no batch barrier (the pull rule
+ * of BatchWindow, adaptive_campaign.hh); feedback-driven strategies
+ * keep it. Both key off ShardSource::strategy(), so a decorating source
+ * that forwards strategy() keeps its inner source's scheduling.
  */
 bool feedbackFree(Strategy s);
 std::optional<Strategy> parseStrategy(const std::string &name);

@@ -43,6 +43,13 @@ Logger::Logger()
 }
 
 void
+Logger::syncAnyEnabledLocked()
+{
+    _anyEnabled.store(_allEnabled || !_flags.empty(),
+                      std::memory_order_release);
+}
+
+void
 Logger::enable(const std::string &flag)
 {
     std::lock_guard<std::mutex> lock(_mutex);
@@ -50,6 +57,7 @@ Logger::enable(const std::string &flag)
         _allEnabled = true;
     else
         _flags.insert(flag);
+    syncAnyEnabledLocked();
 }
 
 void
@@ -60,6 +68,7 @@ Logger::disable(const std::string &flag)
         _allEnabled = false;
     else
         _flags.erase(flag);
+    syncAnyEnabledLocked();
 }
 
 void
@@ -68,11 +77,14 @@ Logger::disableAll()
     std::lock_guard<std::mutex> lock(_mutex);
     _allEnabled = false;
     _flags.clear();
+    syncAnyEnabledLocked();
 }
 
 bool
 Logger::enabled(const std::string &flag) const
 {
+    if (!_anyEnabled.load(std::memory_order_acquire))
+        return false;
     std::lock_guard<std::mutex> lock(_mutex);
     return flagEnabled(_allEnabled, _flags, flag);
 }

@@ -16,6 +16,7 @@
 #ifndef DRF_SIM_LOGGER_HH
 #define DRF_SIM_LOGGER_HH
 
+#include <atomic>
 #include <deque>
 #include <mutex>
 #include <sstream>
@@ -34,7 +35,10 @@ namespace drf
  *
  * All methods are thread-safe: campaign shards (see src/campaign/) run
  * one simulation per thread but share this sink, so flag lookups and the
- * retained-history ring are guarded by an internal mutex.
+ * retained-history ring are guarded by an internal mutex. enabled()
+ * skips that mutex while no flag is enabled at all (the common case on
+ * every campaign thread), through an atomic kept in step with the flag
+ * set by enable/disable/disableAll.
  */
 class Logger
 {
@@ -51,7 +55,10 @@ class Logger
     /** Disable all flags. */
     void disableAll();
 
-    /** True if messages for @p flag should be printed to stdout. */
+    /**
+     * True if messages for @p flag should be printed to stdout.
+     * Lock-free (and false) while no flag is enabled.
+     */
     bool enabled(const std::string &flag) const;
 
     /**
@@ -80,9 +87,14 @@ class Logger
   private:
     Logger();
 
+    /** Re-derive _anyEnabled after a flag change; _mutex held. */
+    void syncAnyEnabledLocked();
+
     mutable std::mutex _mutex;
     std::unordered_set<std::string> _flags;
     bool _allEnabled = false;
+    /** _allEnabled || !_flags.empty(), readable without _mutex. */
+    std::atomic<bool> _anyEnabled{false};
     std::deque<std::string> _history;
     std::size_t _historyDepth = 256;
 };

@@ -1,8 +1,8 @@
 /**
  * @file
  * Fleet tests: wire framing, protocol payload round trips (including
- * bit-exact double transport), StreamingShardMerge arrival-order
- * invariance, and end-to-end coordinator/worker campaigns — the
+ * bit-exact double transport), journal replay into the shard merge,
+ * and end-to-end coordinator/worker campaigns — the
  * distributed aggregates must be byte-identical to the workers=0
  * degenerate fleet, with workers killed mid-campaign, with proactive
  * steals, and across a halt + resume.
@@ -10,7 +10,12 @@
  * The end-to-end suite forks real worker processes (through
  * runLocalFleet, which forks before the coordinator spawns any
  * thread), so it exercises the actual sockets, the actual SIGKILL
- * recovery path, and the actual journal file.
+ * recovery path, and the actual journal file. The FleetStreaming suite
+ * runs its workers as threads of the test process instead (runWorker
+ * against a listening FleetCoordinator): no fork, so it runs under
+ * ThreadSanitizer, and it checks the streaming pull rule, the
+ * index-ordered drain and the stop contract without wall-clock
+ * assertions.
  */
 
 #include <gtest/gtest.h>
@@ -19,8 +24,8 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -32,10 +37,11 @@
 #endif
 
 #include "campaign/journal.hh"
-#include "campaign/merge_stream.hh"
+#include "campaign/campaign.hh"
 #include "fleet/fleet.hh"
 #include "fleet/protocol.hh"
 #include "fleet/wire.hh"
+#include "fleet/worker.hh"
 #include "guidance/adaptive_campaign.hh"
 #include "guidance/genome.hh"
 #include "guidance/sources.hh"
@@ -319,77 +325,8 @@ TEST(FleetProtocol, ParseRejectsMalformedPayloads)
 }
 
 // ---------------------------------------------------------------------
-// StreamingShardMerge: arrival order must not matter.
+// Journal replay into the shard merge.
 // ---------------------------------------------------------------------
-
-TEST(StreamingMerge, ShuffledArrivalMatchesSortedMerge)
-{
-    constexpr std::size_t kShards = 9;
-    constexpr double kWall = 3.5;
-    CampaignConfig cfg;
-    cfg.stopOnFailure = false;
-
-    // Reference: plain ShardMerge fed in index order.
-    ShardMerge reference(cfg, kShards);
-    for (std::size_t i = 0; i < kShards; ++i)
-        reference.add(syntheticOutcome(i, 100 + i, /*passed=*/i != 4,
-                                       /*with_grid=*/true),
-                      kWall);
-    CampaignResult want = reference.take(kWall);
-
-    // Candidate: shuffled arrival + duplicate deliveries.
-    std::vector<std::size_t> order(kShards);
-    for (std::size_t i = 0; i < kShards; ++i)
-        order[i] = i;
-    std::mt19937 rng(12345);
-    std::shuffle(order.begin(), order.end(), rng);
-
-    StreamingShardMerge streaming(cfg, kShards);
-    for (std::size_t index : order) {
-        EXPECT_TRUE(streaming.offer(
-            syntheticOutcome(index, 100 + index, index != 4, true)));
-        // A stolen lease's second result: byte-identical duplicate.
-        if (index % 3 == 0) {
-            EXPECT_FALSE(streaming.offer(
-                syntheticOutcome(index, 100 + index, index != 4, true)));
-        }
-    }
-    EXPECT_EQ(kShards, streaming.drainSorted(kWall));
-    CampaignResult got = streaming.take(kWall);
-
-    expectEquivalent(want, got);
-}
-
-TEST(StreamingMerge, BufferedDuplicateLastRecordWins)
-{
-    CampaignConfig cfg;
-    cfg.stopOnFailure = false;
-    StreamingShardMerge streaming(cfg, 1);
-    EXPECT_TRUE(streaming.offer(syntheticOutcome(0, 10)));
-    // Journal-replay semantics: a later record for the same index
-    // (e.g. a re-run after a host-level outcome) supersedes.
-    EXPECT_FALSE(streaming.offer(syntheticOutcome(0, 99)));
-    EXPECT_EQ(1u, streaming.drainSorted(0.0));
-    CampaignResult res = streaming.take(0.0);
-    EXPECT_EQ(99u, res.totalEvents);
-    EXPECT_EQ(1u, res.shardsRun);
-}
-
-TEST(StreamingMerge, DrainedDuplicateIsDropped)
-{
-    CampaignConfig cfg;
-    cfg.stopOnFailure = false;
-    StreamingShardMerge streaming(cfg, 1);
-    EXPECT_TRUE(streaming.offer(syntheticOutcome(0, 10)));
-    EXPECT_EQ(1u, streaming.drainSorted(0.0));
-    // The straggler's copy lands after the drain: dropped, not merged.
-    EXPECT_FALSE(streaming.offer(syntheticOutcome(0, 99)));
-    EXPECT_EQ(0u, streaming.pending());
-    EXPECT_EQ(0u, streaming.drainSorted(0.0));
-    CampaignResult res = streaming.take(0.0);
-    EXPECT_EQ(10u, res.totalEvents);
-    EXPECT_EQ(1u, res.shardsRun);
-}
 
 TEST(StreamingMerge, JournalReplayWithTornTailMatchesSortedMerge)
 {
@@ -417,13 +354,15 @@ TEST(StreamingMerge, JournalReplayWithTornTailMatchesSortedMerge)
         out << torn.substr(0, torn.size() / 2); // crash mid-append
     }
 
+    // loadJournal keeps the last record per index and returns them in
+    // index order, so they merge exactly like the live campaign.
     std::vector<ShardOutcome> records;
     ASSERT_TRUE(loadJournal(path, records));
-    StreamingShardMerge streaming(cfg, kShards);
+    ASSERT_EQ(kShards, records.size());
+    ShardMerge replayed(cfg, kShards);
     for (ShardOutcome &rec : records)
-        streaming.offer(std::move(rec), /*resumed=*/true);
-    EXPECT_EQ(kShards, streaming.drainSorted(kWall));
-    CampaignResult got = streaming.take(kWall);
+        replayed.add(std::move(rec), kWall, /*resumed=*/true);
+    CampaignResult got = replayed.take(kWall);
 
     expectEquivalent(want, got);
     EXPECT_EQ(kShards, got.shardsResumed);
@@ -648,6 +587,343 @@ TEST(Fleet, HaltedFleetResumesBitIdentically)
         << "resume + fleet must reproduce the uninterrupted campaign "
            "byte for byte";
     std::remove(journal.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Streaming leases: worker threads against a listening coordinator.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+std::unique_ptr<ShardSource>
+makeSource(const std::string &strategy, const SourceConfig &cfg)
+{
+    if (strategy == "guided")
+        return std::make_unique<GuidedSource>(cfg);
+    if (strategy == "random")
+        return std::make_unique<RandomSource>(cfg);
+    return std::make_unique<SweepSource>(cfg);
+}
+
+/**
+ * Forwards a source (strategy included, so the coordinator schedules
+ * it as the inner one) and records what the coordinator asked of it:
+ * the reported indices, the pulls, the pulls made while issued shards
+ * were still unreported, and calls from any thread but the driving one.
+ */
+class RecordingSource : public ShardSource
+{
+  public:
+    explicit RecordingSource(ShardSource &inner) : _inner(inner) {}
+
+    Strategy strategy() const override { return _inner.strategy(); }
+
+    std::vector<ShardSpec>
+    nextBatch() override
+    {
+        noteThread();
+        std::vector<ShardSpec> batch = _inner.nextBatch();
+        if (!batch.empty()) {
+            ++pulls;
+            if (issued != reported.size())
+                ++earlyPulls;
+        }
+        issued += batch.size();
+        return batch;
+    }
+
+    void
+    report(const ShardOutcome &outcome,
+           const ShardFeedback &feedback) override
+    {
+        noteThread();
+        reported.push_back(outcome.index);
+        _inner.report(outcome, feedback);
+    }
+
+    std::optional<GpuTestPreset>
+    presetForSeed(std::uint64_t seed) const override
+    {
+        noteThread();
+        return _inner.presetForSeed(seed);
+    }
+
+    std::optional<ShardLease>
+    leaseForSeed(std::uint64_t seed) const override
+    {
+        noteThread();
+        return _inner.leaseForSeed(seed);
+    }
+
+    std::vector<std::size_t> reported;
+    std::size_t issued = 0;
+    std::size_t pulls = 0;
+    std::size_t earlyPulls = 0;
+    mutable bool offThread = false;
+
+  private:
+    void
+    noteThread() const
+    {
+        if (std::this_thread::get_id() != _drivingThread)
+            offThread = true;
+    }
+
+    ShardSource &_inner;
+    const std::thread::id _drivingThread = std::this_thread::get_id();
+};
+
+/**
+ * Run one campaign on a listening coordinator with @p workers
+ * runWorker() threads; @p worker0 configures the first of them (fault
+ * injection). workers == 0 is the degenerate fleet, the golden.
+ */
+FleetResult
+runThreadFleet(ShardSource &source, CoordinatorConfig cfg,
+               unsigned workers, WorkerConfig worker0 = {})
+{
+    cfg.campaign.jobs = 1;
+    cfg.expectedWorkers = workers;
+    cfg.workerWaitSeconds = 20.0;
+    FleetCoordinator coordinator(source, cfg);
+    EXPECT_TRUE(coordinator.listen());
+    std::vector<std::thread> threads;
+    for (unsigned i = 0; i < workers; ++i) {
+        WorkerConfig wc = i == 0 ? worker0 : WorkerConfig{};
+        wc.port = coordinator.boundPort();
+        wc.name = "thread-" + std::to_string(i);
+        threads.emplace_back([wc] { runWorker(wc); });
+    }
+    FleetResult result = coordinator.run();
+    for (std::thread &t : threads)
+        t.join();
+    return result;
+}
+
+std::string
+aggregatesOf(const FleetResult &result)
+{
+    return adaptiveAggregatesJson(result.adaptive, "gpu_tester");
+}
+
+/** The degenerate-fleet aggregates of @p strategy over @p cfg. */
+std::string
+goldenAggregates(const std::string &strategy, const SourceConfig &cfg,
+                 const CoordinatorConfig &coord = {})
+{
+    std::unique_ptr<ShardSource> source = makeSource(strategy, cfg);
+    return aggregatesOf(runThreadFleet(*source, coord, 0));
+}
+
+/** 0, 1, ..., n-1. */
+std::vector<std::size_t>
+iota(std::size_t n)
+{
+    std::vector<std::size_t> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = i;
+    return v;
+}
+
+/** Global indices of the records in journal @p path, in file order. */
+std::vector<std::size_t>
+journaledIndices(const std::string &path)
+{
+    std::vector<ShardOutcome> records;
+    EXPECT_TRUE(loadJournal(path, records));
+    std::vector<std::size_t> indices;
+    for (const ShardOutcome &rec : records)
+        indices.push_back(rec.index);
+    return indices;
+}
+
+} // namespace
+
+TEST(FleetStreaming, SweepPullsTheNextBatchBeforeReportingThisOne)
+{
+    // Two workers hold four leases and a batch is three shards, so the
+    // coordinator must pull batch 1 before anything of batch 0 drained.
+    std::unique_ptr<ShardSource> inner =
+        makeSource("sweep", tinySourceConfig(21, 12, 3));
+    RecordingSource source(*inner);
+    FleetResult result = runThreadFleet(source, {}, 2);
+
+    EXPECT_TRUE(result.adaptive.passed);
+    EXPECT_EQ(4u, result.adaptive.rounds);
+    EXPECT_EQ(4u, source.pulls);
+    EXPECT_GE(source.earlyPulls, 1u);
+    EXPECT_EQ(iota(12), source.reported);
+    EXPECT_FALSE(source.offThread);
+    EXPECT_EQ(0u, result.localRuns);
+}
+
+TEST(FleetStreaming, TriageCarriesWhatFleetIdleTimeNeeds)
+{
+    std::unique_ptr<ShardSource> source =
+        makeSource("sweep", tinySourceConfig(21, 6, 3));
+    FleetResult result = runThreadFleet(*source, {}, 2);
+    const std::string triage = fleetTriageJson(result);
+
+    EXPECT_NE(triage.find("\"workers\":2,"), std::string::npos);
+    EXPECT_NE(triage.find("\"wall_seconds\":"), std::string::npos);
+    EXPECT_NE(triage.find("\"busy_seconds\":"), std::string::npos);
+    EXPECT_GT(result.adaptive.busySeconds, 0.0);
+    EXPECT_LE(result.adaptive.busySeconds,
+              2 * result.adaptive.wallSeconds);
+    EXPECT_EQ(aggregatesOf(result).find("_seconds"), std::string::npos)
+        << "wall and busy time must stay out of the aggregates";
+}
+
+TEST(FleetStreaming, GuidedKeepsTheBatchBarrier)
+{
+    std::unique_ptr<ShardSource> inner =
+        makeSource("guided", tinySourceConfig(33, 12, 3));
+    RecordingSource source(*inner);
+    FleetResult result = runThreadFleet(source, {}, 2);
+
+    EXPECT_TRUE(result.adaptive.passed);
+    EXPECT_EQ(0u, source.earlyPulls)
+        << "a guided batch was pulled before its predecessor drained";
+    EXPECT_EQ(iota(result.adaptive.shardsRun), source.reported);
+    EXPECT_FALSE(source.offThread);
+}
+
+TEST(FleetStreaming, AggregatesMatchTheGoldenAtAnyWorkerCount)
+{
+    for (const std::string strategy : {"sweep", "random", "guided"}) {
+        const SourceConfig src_cfg = tinySourceConfig(41, 12, 3);
+        const std::string golden = goldenAggregates(strategy, src_cfg);
+        EXPECT_NE(golden.find("\"shards_run\":12"), std::string::npos)
+            << strategy;
+        for (unsigned workers : {1u, 2u, 4u}) {
+            std::unique_ptr<ShardSource> source =
+                makeSource(strategy, src_cfg);
+            FleetResult result = runThreadFleet(*source, {}, workers);
+            EXPECT_TRUE(result.adaptive.passed);
+            EXPECT_EQ(workers, result.workersSeen);
+            EXPECT_EQ(golden, aggregatesOf(result))
+                << strategy << " at " << workers << " workers";
+        }
+    }
+}
+
+TEST(FleetStreaming, NothingPastTheStoppingBatchIsJournaledOrReported)
+{
+    // Every shard carries the same armed protocol bug, so the first
+    // batch with a detected failure stops the campaign, while a second
+    // batch is already pulled and leased.
+    SourceConfig src_cfg = tinySourceConfig(21, 12, 3);
+    src_cfg.scale.fault = FaultKind::LostWriteThrough;
+    const std::string golden = goldenAggregates("sweep", src_cfg);
+
+    std::string journal = tempPath("stop.jsonl");
+    std::remove(journal.c_str());
+    std::unique_ptr<ShardSource> inner = makeSource("sweep", src_cfg);
+    RecordingSource source(*inner);
+    CoordinatorConfig cfg;
+    cfg.journalPath = journal;
+    FleetResult result = runThreadFleet(source, cfg, 2);
+
+    ASSERT_FALSE(result.adaptive.passed);
+    ASSERT_TRUE(result.adaptive.firstFailure.has_value());
+    const std::size_t drained = 3 * result.adaptive.rounds;
+    EXPECT_LT(result.adaptive.firstFailure->index, drained);
+    EXPECT_GE(result.adaptive.firstFailure->index, drained - 3)
+        << "the campaign must stop at the failing batch";
+    EXPECT_LT(drained, 12u) << "the fault must stop the campaign early";
+    EXPECT_GT(source.pulls, result.adaptive.rounds)
+        << "no batch was pulled ahead of the stop";
+    EXPECT_EQ(iota(drained), source.reported);
+    EXPECT_EQ(drained, result.adaptive.shardsRun);
+    EXPECT_EQ(drained, result.campaign.shardsRun);
+    EXPECT_EQ(iota(drained), journaledIndices(journal));
+    EXPECT_FALSE(source.offThread);
+    EXPECT_EQ(golden, aggregatesOf(result));
+    std::remove(journal.c_str());
+}
+
+TEST(FleetStreaming, OneRoundPullsOneBatchAndResumesBitIdentically)
+{
+    const SourceConfig src_cfg = tinySourceConfig(21, 12, 3);
+    const std::string golden = goldenAggregates("sweep", src_cfg);
+    std::string journal = tempPath("one_round.jsonl");
+    std::remove(journal.c_str());
+
+    // Two workers have room for a second batch; maxRounds forbids it.
+    std::unique_ptr<ShardSource> first = makeSource("sweep", src_cfg);
+    RecordingSource source(*first);
+    CoordinatorConfig cfg;
+    cfg.journalPath = journal;
+    cfg.maxRounds = 1;
+    FleetResult halted = runThreadFleet(source, cfg, 2);
+    EXPECT_TRUE(halted.halted);
+    EXPECT_EQ(1u, source.pulls);
+    EXPECT_EQ(3u, halted.adaptive.shardsRun);
+    EXPECT_EQ(iota(3), journaledIndices(journal));
+
+    std::unique_ptr<ShardSource> second = makeSource("sweep", src_cfg);
+    cfg.maxRounds = 0;
+    cfg.resume = true;
+    FleetResult resumed = runThreadFleet(*second, cfg, 2);
+    EXPECT_FALSE(resumed.halted);
+    EXPECT_EQ(3u, resumed.shardsResumed);
+    EXPECT_EQ(12u, resumed.adaptive.shardsRun);
+    EXPECT_EQ(iota(12), journaledIndices(journal));
+    EXPECT_EQ(golden, aggregatesOf(resumed));
+    std::remove(journal.c_str());
+}
+
+TEST(FleetStreaming, StealDuplicatesNeverReachTheAggregates)
+{
+    // Idle workers ask for work every few milliseconds and may
+    // duplicate any outstanding lease, so second answers land both
+    // before and after their batch drained: only first answers count.
+    const SourceConfig src_cfg = tinySourceConfig(21, 12, 3);
+    const std::string golden = goldenAggregates("sweep", src_cfg);
+    std::unique_ptr<ShardSource> inner = makeSource("sweep", src_cfg);
+    RecordingSource source(*inner);
+    CoordinatorConfig cfg;
+    cfg.stealMinAgeSeconds = 0.0;
+    cfg.heartbeatMs = 5;
+    FleetResult result = runThreadFleet(source, cfg, 4);
+
+    EXPECT_EQ(iota(12), source.reported);
+    EXPECT_EQ(12u, result.campaign.shardsRun);
+    EXPECT_LE(result.duplicateResults, result.releases);
+    EXPECT_EQ(golden, aggregatesOf(result));
+}
+
+TEST(FleetStreaming, QuorumComparesEveryShardWhileBatchesOverlap)
+{
+    const SourceConfig src_cfg = tinySourceConfig(21, 12, 3);
+    const std::string golden = goldenAggregates("sweep", src_cfg);
+    CoordinatorConfig cfg;
+    cfg.verifyQuorum = 1;
+
+    {
+        std::unique_ptr<ShardSource> inner = makeSource("sweep", src_cfg);
+        RecordingSource source(*inner);
+        FleetResult result = runThreadFleet(source, cfg, 2);
+        EXPECT_GE(source.earlyPulls, 1u);
+        EXPECT_EQ(12u, result.quorumLeases);
+        EXPECT_EQ(0u, result.quorumDivergences);
+        EXPECT_EQ(golden, aggregatesOf(result));
+    }
+
+    // Worker 0 silently lies about every even index. Each shard runs on
+    // both workers, so every lie meets an honest answer, is caught, and
+    // is settled by a local re-run before its batch drains.
+    WorkerConfig liar;
+    liar.corruptEveryN = 2;
+    liar.corruptSilently = true;
+    std::unique_ptr<ShardSource> source = makeSource("sweep", src_cfg);
+    FleetResult result = runThreadFleet(*source, cfg, 2, liar);
+    EXPECT_EQ(12u, result.quorumLeases);
+    std::vector<std::size_t> diverged = result.divergedIndices;
+    std::sort(diverged.begin(), diverged.end());
+    EXPECT_EQ((std::vector<std::size_t>{0, 2, 4, 6, 8, 10}), diverged);
+    EXPECT_EQ(golden, aggregatesOf(result));
 }
 
 #endif // DRF_TEST_HAVE_SOCKETPAIR

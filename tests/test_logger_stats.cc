@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
 
 #include "sim/event_queue.hh"
 #include "sim/logger.hh"
@@ -49,6 +50,45 @@ TEST_F(LoggerTest, AllFlagEnablesEverything)
     EXPECT_TRUE(log.enabled("anything"));
     log.disable("all");
     EXPECT_FALSE(log.enabled("anything"));
+}
+
+TEST_F(LoggerTest, TogglingAfterTheLockFreePathWasTaken)
+{
+    // With nothing enabled, enabled() answers without the lock; every
+    // later enable/disable/disableAll must still be seen.
+    Logger &log = Logger::get();
+    EXPECT_FALSE(log.enabled("Tester"));
+    log.enable("Tester");
+    EXPECT_TRUE(log.enabled("Tester"));
+    EXPECT_FALSE(log.enabled("Other"));
+    log.enable("Other");
+    log.disable("Tester");
+    EXPECT_FALSE(log.enabled("Tester"));
+    EXPECT_TRUE(log.enabled("Other"));
+    log.disable("Other");
+    EXPECT_FALSE(log.enabled("Other"));
+    log.enable("all");
+    EXPECT_TRUE(log.enabled("Tester"));
+    log.disableAll();
+    EXPECT_FALSE(log.enabled("Tester"));
+    EXPECT_FALSE(log.enabled("anything"));
+    log.enable("Tester");
+    EXPECT_TRUE(log.enabled("Tester"));
+}
+
+TEST_F(LoggerTest, EnableIsSeenByAnotherThread)
+{
+    Logger &log = Logger::get();
+    bool before = true;
+    std::thread([&] { before = log.enabled("Tester"); }).join();
+    EXPECT_FALSE(before);
+    log.enable("Tester");
+    bool after = false;
+    std::thread([&] { after = log.enabled("Tester"); }).join();
+    EXPECT_TRUE(after);
+    log.disableAll();
+    std::thread([&] { after = log.enabled("Tester"); }).join();
+    EXPECT_FALSE(after);
 }
 
 TEST_F(LoggerTest, HistoryRetainedEvenWhenDisabled)

@@ -355,12 +355,14 @@ int
 report(const FleetResult &result, const Options &opt)
 {
     std::printf(
-        "fleet: %zu shards in %zu rounds, %s, wall %.3f s\n"
+        "fleet: %zu shards in %zu rounds, %s, wall %.3f s, busy %.3f s "
+        "over %u workers\n"
         "fleet: workers %u, leases %llu, re-leases %llu, duplicate "
         "results %llu, local runs %llu, resumed %zu%s\n",
         result.adaptive.shardsRun, result.adaptive.rounds,
         result.adaptive.passed ? "passed" : "FAILED",
-        result.adaptive.wallSeconds, result.workersSeen,
+        result.adaptive.wallSeconds, result.adaptive.busySeconds,
+        result.adaptive.jobs, result.workersSeen,
         (unsigned long long)result.leasesIssued,
         (unsigned long long)result.releases,
         (unsigned long long)result.duplicateResults,
