@@ -22,7 +22,27 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+std::unique_ptr<CoverageGrid>
+cloneGrid(const std::unique_ptr<CoverageGrid> &grid)
+{
+    return grid ? std::make_unique<CoverageGrid>(*grid) : nullptr;
+}
+
 } // namespace
+
+ShardOutcome::ShardOutcome(const ShardOutcome &other)
+    : name(other.name), seed(other.seed), index(other.index),
+      result(other.result), attempts(other.attempts),
+      l1(cloneGrid(other.l1)), l2(cloneGrid(other.l2)),
+      dir(cloneGrid(other.dir))
+{
+}
+
+ShardOutcome &
+ShardOutcome::operator=(const ShardOutcome &other)
+{
+    return *this = ShardOutcome(other);
+}
 
 ShardMerge::ShardMerge(const CampaignConfig &cfg,
                        std::size_t shards_planned)
@@ -83,8 +103,8 @@ ShardMerge::saturatedLocked() const
     return true;
 }
 
-void
-ShardMerge::add(ShardOutcome &&out, double wall_seconds, bool resumed)
+ShardDelta
+ShardMerge::add(const ShardOutcome &out, double wall_seconds, bool resumed)
 {
     std::lock_guard<std::mutex> lock(_mutex);
     CampaignResult &res = _result;
@@ -108,13 +128,15 @@ ShardMerge::add(ShardOutcome &&out, double wall_seconds, bool resumed)
       default: break;
     }
 
-    std::size_t new_cells = 0;
+    ShardDelta delta;
     if (out.l1)
-        new_cells += _l1.add(*out.l1);
+        delta.newL1Cells = _l1.add(*out.l1);
     if (out.l2)
-        new_cells += _l2.add(*out.l2);
+        delta.newL2Cells = _l2.add(*out.l2);
     if (out.dir)
-        new_cells += _dir.add(*out.dir);
+        delta.newDirCells = _dir.add(*out.dir);
+    delta.unionL1Active = _l1.activeCount(_cfg.coverageTestType);
+    delta.unionL2Active = _l2.activeCount(_cfg.coverageTestType);
 
     CoveragePoint point;
     point.shardsCompleted = res.shardsRun;
@@ -129,11 +151,11 @@ ShardMerge::add(ShardOutcome &&out, double wall_seconds, bool resumed)
                          out.result.storesRetired +
                          out.result.atomicsChecked;
     point.cumulativeEpisodes = res.totalEpisodes;
-    point.cumulativeActions = res.totalLoadsChecked +
-                              res.totalStoresRetired +
-                              res.totalAtomicsChecked;
-    point.newCells = new_cells;
-    res.saturationCurve.push_back(point);
+    point.cumulativeActions = res.totalActions();
+    point.newL1Cells = delta.newL1Cells;
+    point.newL2Cells = delta.newL2Cells;
+    point.newDirCells = delta.newDirCells;
+    res.saturationCurve.push_back(std::move(point));
 
     if (!out.result.passed) {
         if (!res.firstFailure || out.index < res.firstFailure->index) {
@@ -150,7 +172,8 @@ ShardMerge::add(ShardOutcome &&out, double wall_seconds, bool resumed)
         requestStop();
     }
     if (_cfg.keepOutcomes)
-        res.outcomes.push_back(std::move(out));
+        res.outcomes.push_back(out);
+    return delta;
 }
 
 CampaignResult

@@ -43,6 +43,13 @@ namespace drf
 /** Everything one shard (one isolated simulation) produces. */
 struct ShardOutcome
 {
+    ShardOutcome() = default;
+    ShardOutcome(ShardOutcome &&) = default;
+    ShardOutcome &operator=(ShardOutcome &&) = default;
+    /** Deep copy, grids included. */
+    ShardOutcome(const ShardOutcome &other);
+    ShardOutcome &operator=(const ShardOutcome &other);
+
     std::string name;
     std::uint64_t seed = 0;
     std::size_t index = 0; ///< position in the campaign's shard list
@@ -136,8 +143,12 @@ struct CoveragePoint
     std::uint64_t cumulativeEpisodes = 0;
     std::uint64_t cumulativeActions = 0;
 
-    /** Union cells (L1+L2+dir) this shard covered first. */
-    std::size_t newCells = 0;
+    // Union cells this shard covered first, per level. Each writer
+    // sums the levels it reports: the campaign JSON counts all three,
+    // the adaptive campaign JSON L1 and L2.
+    std::size_t newL1Cells = 0;
+    std::size_t newL2Cells = 0;
+    std::size_t newDirCells = 0;
 };
 
 /** Aggregated campaign summary. */
@@ -181,6 +192,13 @@ struct CampaignResult
     std::uint64_t totalStoresRetired = 0;
     std::uint64_t totalAtomicsChecked = 0;
 
+    /** Loads checked + stores retired + atomics checked. */
+    std::uint64_t
+    totalActions() const
+    {
+        return totalLoadsChecked + totalStoresRetired + totalAtomicsChecked;
+    }
+
     /** Sum of per-shard host seconds (serial-equivalent cost). */
     double shardSecondsSum = 0.0;
     /** Campaign wall-clock seconds. */
@@ -194,14 +212,28 @@ struct CampaignResult
     std::vector<ShardOutcome> outcomes;
 };
 
+/** What merging one shard changed, for feedback-driven callers. */
+struct ShardDelta
+{
+    // Union cells the shard covered first, per level.
+    std::size_t newL1Cells = 0;
+    std::size_t newL2Cells = 0;
+    std::size_t newDirCells = 0;
+    // Active cells of the L1 and L2 unions after the merge.
+    std::size_t unionL1Active = 0;
+    std::size_t unionL2Active = 0;
+};
+
 /**
  * Thread-safe cross-shard merge: the one place campaign aggregates are
- * built. runCampaign and the supervisor (supervisor.cc) both funnel
- * every completed ShardOutcome through add(), so stat sums, union
- * coverage, the saturation curve, first-failure bookkeeping, host
- * triage counters, and the early-stop policy have exactly one
- * implementation — which is what makes a resumed campaign's aggregates
- * bit-identical to an uninterrupted run's.
+ * built. runCampaign, the supervisor (supervisor.cc) and the adaptive
+ * loop's FeedbackLoop (guidance/adaptive_campaign.hh, which the fleet
+ * coordinator drives too) all funnel every completed ShardOutcome
+ * through add(), so stat sums, union coverage, the saturation curve,
+ * first-failure bookkeeping, host triage counters, and the early-stop
+ * policy have exactly one implementation — which is what makes a
+ * resumed campaign's aggregates bit-identical to an uninterrupted
+ * run's, and an adaptive campaign's identical at any executor count.
  */
 class ShardMerge
 {
@@ -227,10 +259,11 @@ class ShardMerge
      * Merge one completed shard (thread-safe). @p wall_seconds is the
      * campaign-relative completion time for the saturation curve;
      * @p resumed marks outcomes replayed from a journal rather than
-     * executed (they count into shardsRun *and* shardsResumed).
+     * executed (they count into shardsRun *and* shardsResumed). A
+     * copy of the outcome is kept only under keepOutcomes.
      */
-    void add(ShardOutcome &&out, double wall_seconds,
-             bool resumed = false);
+    ShardDelta add(const ShardOutcome &out, double wall_seconds,
+                   bool resumed = false);
 
     /** Finalize and return the result. Call once, no concurrent adds. */
     CampaignResult take(double wall_seconds);

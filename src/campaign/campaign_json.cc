@@ -244,7 +244,8 @@ campaignToJson(const CampaignResult &result,
         w.key("shard_actions").value(p.shardActions);
         w.key("cumulative_episodes").value(p.cumulativeEpisodes);
         w.key("cumulative_actions").value(p.cumulativeActions);
-        w.key("new_cells").value(static_cast<std::uint64_t>(p.newCells));
+        w.key("new_cells").value(static_cast<std::uint64_t>(
+            p.newL1Cells + p.newL2Cells + p.newDirCells));
         w.endObject();
     }
     w.endArray();

@@ -636,8 +636,8 @@ runSupervisedCampaign(std::vector<ShardSpec> shards,
     // Merge adopted shards first, in index order (loadJournal returns
     // them sorted), so the aggregates a resumed run produces are the
     // same commutative sums an uninterrupted run would build.
-    for (ShardOutcome &rec : adopted)
-        merge.add(std::move(rec), 0.0, /*resumed=*/true);
+    for (const ShardOutcome &rec : adopted)
+        merge.add(rec, 0.0, /*resumed=*/true);
 
     if (shards.empty())
         return merge.take(0.0);
@@ -684,7 +684,7 @@ runSupervisedCampaign(std::vector<ShardSpec> shards,
                 ShardOutcome out = runner.run(std::move(spec), i);
                 if (journal.ok())
                     journal.append(shardOutcomeToJson(out));
-                merge.add(std::move(out), secondsSince(start));
+                merge.add(out, secondsSince(start));
             });
         }
         pool.waitIdle();

@@ -45,25 +45,6 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/** Deep-copy an outcome, grids included. */
-ShardOutcome
-cloneOutcome(const ShardOutcome &src)
-{
-    ShardOutcome out;
-    out.name = src.name;
-    out.seed = src.seed;
-    out.index = src.index;
-    out.result = src.result;
-    out.attempts = src.attempts;
-    if (src.l1)
-        out.l1 = std::make_unique<CoverageGrid>(*src.l1);
-    if (src.l2)
-        out.l2 = std::make_unique<CoverageGrid>(*src.l2);
-    if (src.dir)
-        out.dir = std::make_unique<CoverageGrid>(*src.dir);
-    return out;
-}
-
 /**
  * Comparison key for cross-worker result equality: the record with its
  * host-side nondeterminism (wall time, transient-retry count) zeroed.
@@ -74,7 +55,7 @@ cloneOutcome(const ShardOutcome &src)
 std::string
 canonicalResultKey(const ShardOutcome &src)
 {
-    ShardOutcome c = cloneOutcome(src);
+    ShardOutcome c = src;
     c.attempts = 1;
     c.result.hostSeconds = 0.0;
     return shardOutcomeToJson(c);
@@ -794,8 +775,6 @@ struct FleetCoordinator::Impl
         for (std::size_t i = window.front().first; i < window.front().end;
              ++i) {
             auto it = results.find(i);
-            if (it->second.resumed)
-                ++stats.shardsResumed;
             ready.push_back(std::move(it->second));
             results.erase(it);
             quorumIssued.erase(i);
@@ -961,16 +940,6 @@ FleetCoordinator::run()
     Impl &im = *_impl;
     const CoordinatorConfig &cfg = im.cfg;
 
-    // The merge's campaign policy: stop decisions belong to the
-    // adaptive loop, so the merge itself never requests a stop.
-    CampaignConfig merge_cfg;
-    merge_cfg.jobs = std::max(1u, cfg.expectedWorkers);
-    merge_cfg.stopOnFailure = false;
-    merge_cfg.stopOnHostFailure = false;
-    merge_cfg.coverageTestType = cfg.campaign.coverageTestType;
-    ShardMerge merge(merge_cfg, 0);
-    merge.setJobs(std::max(1u, cfg.expectedWorkers));
-
     // Resume pass: adoptable records, keyed by global shard index.
     // Damaged records (CRC failure, torn tail) are self-healed by
     // skipping: the counters surface how much was lost, the shards
@@ -1079,10 +1048,8 @@ FleetCoordinator::run()
             }
             journal.flush(/*sync=*/true);
             loop.beginRound();
-            for (Impl::Arrived &arrived : ready) {
-                loop.onOutcome(arrived.out, wall);
-                merge.add(std::move(arrived.out), wall, arrived.resumed);
-            }
+            for (const Impl::Arrived &arrived : ready)
+                loop.onOutcome(arrived.out, wall, arrived.resumed);
             stopped = loop.stopRequested();
         }
         if (stopped)
@@ -1100,7 +1067,7 @@ FleetCoordinator::run()
 
     im.stats.halted = im.window.capped() && !stopped;
     if (im.stats.halted)
-        merge.markInterrupted();
+        loop.markInterrupted();
 
     im.stopFleet();
     journal.flush(/*sync=*/true);
@@ -1112,7 +1079,7 @@ FleetCoordinator::run()
                         : std::max(1u, im.stats.workersSeen);
     FleetResult result = std::move(im.stats);
     result.adaptive = loop.take(wall, jobs);
-    result.campaign = merge.take(wall);
+    result.campaign = result.adaptive;
     return result;
 }
 
@@ -1124,13 +1091,13 @@ fleetTriageJson(const FleetResult &result)
     w.key("workers_seen").value(result.workersSeen);
     w.key("workers").value(result.adaptive.jobs);
     w.key("wall_seconds").value(result.adaptive.wallSeconds);
-    w.key("busy_seconds").value(result.adaptive.busySeconds);
+    w.key("busy_seconds").value(result.adaptive.shardSecondsSum);
     w.key("leases_issued").value(result.leasesIssued);
     w.key("releases").value(result.releases);
     w.key("duplicate_results").value(result.duplicateResults);
     w.key("local_runs").value(result.localRuns);
     w.key("shards_resumed")
-        .value(static_cast<std::uint64_t>(result.shardsResumed));
+        .value(static_cast<std::uint64_t>(result.adaptive.shardsResumed));
     w.key("halted").value(result.halted);
     w.key("frame_corruptions").value(result.frameCorruptions);
     w.key("digest_mismatches").value(result.digestMismatches);

@@ -131,8 +131,12 @@ struct CoordinatorConfig
 /** Everything one fleet campaign produced. */
 struct FleetResult
 {
+    /** The campaign's aggregates, built by its one ShardMerge. */
     AdaptiveCampaignResult adaptive;
-    /** The shard merge's view (throughput, triage, unions). */
+    /**
+     * A copy of adaptive's CampaignResult part, kept only for readers
+     * that take a plain CampaignResult (perfbench).
+     */
     CampaignResult campaign;
 
     unsigned workersSeen = 0;       ///< connections accepted
@@ -140,7 +144,6 @@ struct FleetResult
     std::uint64_t releases = 0;     ///< re-leases (death + steal)
     std::uint64_t duplicateResults = 0;
     std::uint64_t localRuns = 0; ///< leases executed by the coordinator
-    std::size_t shardsResumed = 0;
     bool halted = false; ///< stopped by maxRounds, source not drained
 
     // Integrity detections (what the stack *caught* — every injected

@@ -28,10 +28,10 @@ secondsSince(Clock::time_point start)
 
 /** FNV-1a over the two unions' active-set digests. */
 std::uint64_t
-combinedDigest(const CoverageAccumulator &l1,
-               const CoverageAccumulator &l2)
+combinedDigest(const std::optional<CoverageGrid> &l1,
+               const std::optional<CoverageGrid> &l2)
 {
-    if (l1.empty() && l2.empty())
+    if (!l1 && !l2)
         return 0;
     std::uint64_t h = 14695981039346656037ull;
     auto mix = [&h](std::uint64_t v) {
@@ -40,102 +40,76 @@ combinedDigest(const CoverageAccumulator &l1,
             h *= 1099511628211ull;
         }
     };
-    mix(l1.empty() ? 0 : l1.grid().activeDigest());
-    mix(l2.empty() ? 0 : l2.grid().activeDigest());
+    mix(l1 ? l1->activeDigest() : 0);
+    mix(l2 ? l2->activeDigest() : 0);
     return h;
+}
+
+/** The merge policy of an adaptive campaign. */
+CampaignConfig
+mergeConfig(const AdaptiveCampaignConfig &cfg)
+{
+    CampaignConfig merge_cfg;
+    // The loop stops on the first failure of any class.
+    merge_cfg.stopOnFailure = cfg.stopOnFailure;
+    merge_cfg.stopOnHostFailure = cfg.stopOnFailure;
+    merge_cfg.saturationPct = cfg.saturationPct;
+    merge_cfg.coverageTestType = cfg.coverageTestType;
+    return merge_cfg;
 }
 
 } // namespace
 
 FeedbackLoop::FeedbackLoop(ShardSource &source,
                            const AdaptiveCampaignConfig &cfg)
-    : _source(source), _cfg(cfg)
+    : _source(source), _merge(mergeConfig(cfg), 0)
 {
-    _res.strategy = source.strategy();
 }
 
 void
 FeedbackLoop::beginRound()
 {
-    ++_res.rounds;
+    ++_rounds;
 }
 
 void
-FeedbackLoop::onOutcome(const ShardOutcome &out, double wall_seconds)
+FeedbackLoop::onOutcome(const ShardOutcome &out, double wall_seconds,
+                        bool resumed)
 {
+    const ShardDelta delta = _merge.add(out, wall_seconds, resumed);
+    if (!out.result.passed && !_failed) {
+        _failed = true;
+        _failurePreset = _source.presetForSeed(out.seed);
+    }
+
     ShardFeedback fb;
     fb.episodes = out.result.episodes;
     fb.actions = out.result.loadsChecked + out.result.storesRetired +
                  out.result.atomicsChecked;
-    if (out.l1)
-        fb.newL1Cells = _l1.add(*out.l1);
-    if (out.l2)
-        fb.newL2Cells = _l2.add(*out.l2);
-    fb.unionL1Active = _l1.activeCount(_cfg.coverageTestType);
-    fb.unionL2Active = _l2.activeCount(_cfg.coverageTestType);
+    fb.newL1Cells = delta.newL1Cells;
+    fb.newL2Cells = delta.newL2Cells;
+    fb.unionL1Active = delta.unionL1Active;
+    fb.unionL2Active = delta.unionL2Active;
     fb.passed = out.result.passed;
-
-    ++_res.shardsRun;
-    _res.totalEpisodes += fb.episodes;
-    _res.totalActions += fb.actions;
-    _res.totalEvents += out.result.events;
-    _res.busySeconds += out.result.hostSeconds;
-
-    CoveragePoint point;
-    point.shardsCompleted = _res.shardsRun;
-    point.l1Pct = _l1.coveragePct(_cfg.coverageTestType);
-    point.l2Pct = _l2.coveragePct(_cfg.coverageTestType);
-    point.cumulativeEvents = _res.totalEvents;
-    point.wallSeconds = wall_seconds;
-    point.shardName = out.name;
-    point.shardSeed = out.seed;
-    point.shardEpisodes = fb.episodes;
-    point.shardActions = fb.actions;
-    point.cumulativeEpisodes = _res.totalEpisodes;
-    point.cumulativeActions = _res.totalActions;
-    point.newCells = fb.newL1Cells + fb.newL2Cells;
-    _res.curve.push_back(std::move(point));
-
-    if (!out.result.passed && !_res.firstFailure) {
-        _res.firstFailure = ShardFailure{out.name, out.seed, out.index,
-                                         out.result.report};
-        _res.firstFailureClass = out.result.failureClass;
-        _res.failurePreset = _source.presetForSeed(out.seed);
-    }
-
     _source.report(out, fb);
-}
-
-bool
-FeedbackLoop::stopRequested() const
-{
-    if (_res.firstFailure && _cfg.stopOnFailure)
-        return true;
-    if (_cfg.saturationPct > 0.0 && (!_l1.empty() || !_l2.empty()) &&
-        (_l1.empty() || _l1.coveragePct(_cfg.coverageTestType) >=
-                            _cfg.saturationPct) &&
-        (_l2.empty() || _l2.coveragePct(_cfg.coverageTestType) >=
-                            _cfg.saturationPct)) {
-        return true;
-    }
-    return false;
 }
 
 AdaptiveCampaignResult
 FeedbackLoop::take(double wall_seconds, unsigned jobs)
 {
-    _res.passed = !_res.firstFailure.has_value();
-    _res.wallSeconds = wall_seconds;
-    _res.jobs = jobs;
-    if (!_l1.empty())
-        _res.l1Union = _l1.grid();
-    if (!_l2.empty())
-        _res.l2Union = _l2.grid();
-    _res.unionDigest = combinedDigest(_l1, _l2);
+    _merge.setJobs(jobs);
+    AdaptiveCampaignResult res;
+    static_cast<CampaignResult &>(res) = _merge.take(wall_seconds);
+    res.strategy = _source.strategy();
+    res.rounds = _rounds;
+    if (res.firstFailure)
+        res.firstFailureClass = res.firstFailure->failureClass;
+    res.failurePreset = std::move(_failurePreset);
+    res.unionDigest = combinedDigest(res.l1Union, res.l2Union);
     if (auto *guided = dynamic_cast<GuidedSource *>(&_source))
-        _res.decisions = guided->decisions();
-    _res.predictTriage = _source.predictTriage();
-    return std::move(_res);
+        res.decisions = guided->decisions();
+    res.predictTriage = _source.predictTriage();
+    return res;
 }
 
 namespace
@@ -397,11 +371,11 @@ writeCampaignJson(const AdaptiveCampaignResult &result,
     if (volatile_fields)
         w.key("jobs").value(result.jobs);
     w.key("total_episodes").value(result.totalEpisodes);
-    w.key("total_actions").value(result.totalActions);
+    w.key("total_actions").value(result.totalActions());
     w.key("total_events").value(result.totalEvents);
     if (volatile_fields) {
         w.key("wall_seconds").value(result.wallSeconds);
-        w.key("busy_seconds").value(result.busySeconds);
+        w.key("busy_seconds").value(result.shardSecondsSum);
     }
 
     w.key("l1_union_pct");
@@ -446,7 +420,7 @@ writeCampaignJson(const AdaptiveCampaignResult &result,
     }
 
     w.key("curve").beginArray();
-    for (const CoveragePoint &p : result.curve) {
+    for (const CoveragePoint &p : result.saturationCurve) {
         w.beginObject();
         w.key("shards")
             .value(static_cast<std::uint64_t>(p.shardsCompleted));
@@ -456,7 +430,8 @@ writeCampaignJson(const AdaptiveCampaignResult &result,
         w.key("shard_actions").value(p.shardActions);
         w.key("cumulative_episodes").value(p.cumulativeEpisodes);
         w.key("cumulative_actions").value(p.cumulativeActions);
-        w.key("new_cells").value(static_cast<std::uint64_t>(p.newCells));
+        w.key("new_cells").value(
+            static_cast<std::uint64_t>(p.newL1Cells + p.newL2Cells));
         w.key("l1_pct").value(p.l1Pct);
         w.key("l2_pct").value(p.l2Pct);
         w.endObject();

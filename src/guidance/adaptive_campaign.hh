@@ -60,41 +60,28 @@ struct AdaptiveCampaignConfig
     double saturationPct = 0.0;
 };
 
-/** Aggregated result of one adaptive (source-driven) campaign. */
-struct AdaptiveCampaignResult
+/**
+ * Aggregated result of one adaptive (source-driven) campaign: the
+ * merge's CampaignResult plus what only the loop and its source know.
+ * The saturation curve is in deterministic feedback order, and
+ * shardSecondsSum is the pool's busy time (jobs × wallSeconds −
+ * shardSecondsSum is its idle time).
+ */
+struct AdaptiveCampaignResult : CampaignResult
 {
     Strategy strategy = Strategy::Sweep;
-    bool passed = true;
     std::size_t rounds = 0;
-    std::size_t shardsRun = 0;
-    unsigned jobs = 0;
 
-    std::uint64_t totalEpisodes = 0;
-    std::uint64_t totalActions = 0;
-    std::uint64_t totalEvents = 0;
-    double wallSeconds = 0.0;
-    /**
-     * Sum of the reported shards' host seconds: jobs × wallSeconds −
-     * busySeconds is the pool's idle time.
-     */
-    double busySeconds = 0.0;
-
-    std::optional<ShardFailure> firstFailure;
+    /** firstFailure's class (None when every shard passed). */
     FailureClass firstFailureClass = FailureClass::None;
     /** Preset of the first failing shard (for trace re-recording). */
     std::optional<GpuTestPreset> failurePreset;
-
-    std::optional<CoverageGrid> l1Union;
-    std::optional<CoverageGrid> l2Union;
 
     /**
      * Digest of both unions' active cell sets — the campaign's
      * reproducibility fingerprint (0 when no coverage was observed).
      */
     std::uint64_t unionDigest = 0;
-
-    /** Per-shard curve in deterministic feedback order. */
-    std::vector<CoveragePoint> curve;
 
     /** Guided mode only: the full decision log. */
     std::vector<GuidanceDecision> decisions;
@@ -109,12 +96,15 @@ struct AdaptiveCampaignResult
 };
 
 /**
- * The feedback half of the adaptive loop, factored out so the
- * single-process runner (runAdaptiveCampaign) and the fleet
- * coordinator (src/fleet) build their aggregates through literally the
- * same code: cross-batch union accumulation, the per-shard curve,
- * first-failure capture, and the index-ordered report() stream to the
- * source. Call beginRound() for each batch, feed its outcomes strictly
+ * The feedback half of the adaptive loop, shared by the single-process
+ * runner (runAdaptiveCampaign) and the fleet coordinator (src/fleet).
+ * Every outcome goes through one ShardMerge, which builds the campaign
+ * aggregates (union coverage, curve, totals, first failure, the
+ * failure and saturation stop) exactly as runCampaign's does. The loop
+ * keeps only what a merge cannot know: the index-ordered report() to
+ * the source with its ShardFeedback, the round count, the failing
+ * shard's preset, the union digest, the decision log and the predict
+ * triage. Call beginRound() for each batch, feed its outcomes strictly
  * in global shard-index order, then check stopRequested(). The next
  * batch may already be running (a feedbackFree() source streams), but
  * none of its outcomes may be fed before that check. Because per-shard
@@ -132,26 +122,29 @@ class FeedbackLoop
     void beginRound();
 
     /**
-     * Feed one completed shard, global index order. @p
-     * wall_seconds stamps the curve point (a per-run field, excluded
-     * from the deterministic aggregate subset).
+     * Feed one completed shard, global index order. @p wall_seconds
+     * stamps the curve point (a per-run field, excluded from the
+     * deterministic aggregate subset); @p resumed marks an outcome
+     * adopted from a journal.
      */
-    void onOutcome(const ShardOutcome &out, double wall_seconds);
+    void onOutcome(const ShardOutcome &out, double wall_seconds,
+                   bool resumed = false);
 
     /** True once failure/saturation policy says to stop pulling. */
-    bool stopRequested() const;
+    bool stopRequested() const { return _merge.stopRequested(); }
 
-    std::size_t shardsRun() const { return _res.shardsRun; }
+    /** The campaign halted before its source ran dry. */
+    void markInterrupted() { _merge.markInterrupted(); }
 
     /** Finalize: unions, digest, decision log. Call once. */
     AdaptiveCampaignResult take(double wall_seconds, unsigned jobs);
 
   private:
     ShardSource &_source;
-    const AdaptiveCampaignConfig _cfg;
-    AdaptiveCampaignResult _res;
-    CoverageAccumulator _l1;
-    CoverageAccumulator _l2;
+    ShardMerge _merge;
+    std::size_t _rounds = 0;
+    std::optional<GpuTestPreset> _failurePreset;
+    bool _failed = false;
 };
 
 /**

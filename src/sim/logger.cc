@@ -6,19 +6,6 @@
 namespace drf
 {
 
-namespace
-{
-
-/** enabled() logic, factored so callers can hold the lock. */
-bool
-flagEnabled(bool all_enabled, const std::unordered_set<std::string> &flags,
-            const std::string &flag)
-{
-    return all_enabled || flags.count(flag) > 0;
-}
-
-} // namespace
-
 Logger &
 Logger::get()
 {
@@ -86,56 +73,17 @@ Logger::enabled(const std::string &flag) const
     if (!_anyEnabled.load(std::memory_order_acquire))
         return false;
     std::lock_guard<std::mutex> lock(_mutex);
-    return flagEnabled(_allEnabled, _flags, flag);
+    return _allEnabled || _flags.count(flag) > 0;
 }
 
 void
 Logger::record(Tick tick, const std::string &flag, const std::string &who,
                const std::string &msg)
 {
-    std::string line = std::to_string(tick) + ": " + who + " [" + flag +
-                       "] " + msg;
-    std::lock_guard<std::mutex> lock(_mutex);
-    if (_historyDepth > 0) {
-        _history.push_back(line);
-        while (_history.size() > _historyDepth)
-            _history.pop_front();
-    }
-    if (flagEnabled(_allEnabled, _flags, flag))
-        std::printf("%s\n", line.c_str());
-}
-
-std::vector<std::string>
-Logger::history() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return {_history.begin(), _history.end()};
-}
-
-void
-Logger::dumpHistory() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    std::fprintf(stderr, "==== recent transaction history (%zu records)\n",
-                 _history.size());
-    for (const auto &line : _history)
-        std::fprintf(stderr, "  %s\n", line.c_str());
-}
-
-void
-Logger::setHistoryDepth(std::size_t depth)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _historyDepth = depth;
-    while (_history.size() > _historyDepth)
-        _history.pop_front();
-}
-
-void
-Logger::clearHistory()
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _history.clear();
+    if (!enabled(flag))
+        return;
+    std::printf("%llu: %s [%s] %s\n", static_cast<unsigned long long>(tick),
+                who.c_str(), flag.c_str(), msg.c_str());
 }
 
 } // namespace drf

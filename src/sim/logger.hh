@@ -5,24 +5,23 @@
  * Components log through DLOG(queue, "FlagName", "message " << value).
  * Flags are enabled per-process via Logger::enable("FlagName") or the
  * DRF_DEBUG_FLAGS environment variable (comma separated). Logging compiles
- * to a cheap flag check when disabled.
+ * to a cheap flag check when disabled: nothing is formatted or retained
+ * unless the flag is enabled.
  *
- * The tester also uses the logger's ring buffer to reconstruct the recent
- * transaction history around a detected failure (Section III.D of the
- * paper): the last N formatted records are always retained, even when no
- * flag is enabled, and dumped on demand.
+ * The logger keeps no history. A failure report's recent transactions
+ * (Section III.D of the paper) come from the tester's own ring of
+ * completed operations (GpuTester::recentHistory), and the trace
+ * recorder (src/trace/) captures whole runs for replay.
  */
 
 #ifndef DRF_SIM_LOGGER_HH
 #define DRF_SIM_LOGGER_HH
 
 #include <atomic>
-#include <deque>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <unordered_set>
-#include <vector>
 
 #include "sim/types.hh"
 
@@ -34,8 +33,8 @@ namespace drf
  * global --debug-flags behaviour.
  *
  * All methods are thread-safe: campaign shards (see src/campaign/) run
- * one simulation per thread but share this sink, so flag lookups and the
- * retained-history ring are guarded by an internal mutex. enabled()
+ * one simulation per thread but share this sink, so flag lookups are
+ * guarded by an internal mutex. enabled()
  * skips that mutex while no flag is enabled at all (the common case on
  * every campaign thread), through an atomic kept in step with the flag
  * set by enable/disable/disableAll.
@@ -62,7 +61,8 @@ class Logger
     bool enabled(const std::string &flag) const;
 
     /**
-     * Record (and maybe print) one message.
+     * Print one message if @p flag is enabled; return at once (before
+     * formatting anything) if it is not.
      *
      * @param tick Simulated time of the record.
      * @param flag Trace flag category.
@@ -71,18 +71,6 @@ class Logger
      */
     void record(Tick tick, const std::string &flag, const std::string &who,
                 const std::string &msg);
-
-    /** Retained recent records, oldest first. */
-    std::vector<std::string> history() const;
-
-    /** Dump retained history to stderr (used on failure). */
-    void dumpHistory() const;
-
-    /** Resize the retained-history ring buffer (0 disables retention). */
-    void setHistoryDepth(std::size_t depth);
-
-    /** Drop retained history (e.g., between test cases). */
-    void clearHistory();
 
   private:
     Logger();
@@ -95,14 +83,13 @@ class Logger
     bool _allEnabled = false;
     /** _allEnabled || !_flags.empty(), readable without _mutex. */
     std::atomic<bool> _anyEnabled{false};
-    std::deque<std::string> _history;
-    std::size_t _historyDepth = 256;
 };
 
 } // namespace drf
 
 /**
- * Log one message on behalf of a component.
+ * Log one message on behalf of a component; @p expr is formatted only
+ * if @p flag is enabled.
  *
  * @param eq   EventQueue (for the timestamp).
  * @param flag Trace flag name (string literal).
@@ -111,10 +98,12 @@ class Logger
  */
 #define DLOG(eq, flag, who, expr)                                          \
     do {                                                                   \
-        std::ostringstream dlog_ss__;                                      \
-        dlog_ss__ << expr;                                                 \
-        ::drf::Logger::get().record((eq).curTick(), flag, who,             \
-                                    dlog_ss__.str());                      \
+        if (::drf::Logger::get().enabled(flag)) {                          \
+            std::ostringstream dlog_ss__;                                  \
+            dlog_ss__ << expr;                                             \
+            ::drf::Logger::get().record((eq).curTick(), flag, who,         \
+                                        dlog_ss__.str());                  \
+        }                                                                  \
     } while (0)
 
 #endif // DRF_SIM_LOGGER_HH

@@ -218,12 +218,10 @@ GpuTester::issueAtomic(Wavefront &wf, bool acquire)
                                      wf.globalId, wf.episode.id});
 
     wf.pendingResponses = 1;
-    if (Logger::get().enabled("Tester")) {
-        DLOG(_sys.eventq(), "Tester", "gpu.tester",
-             (acquire ? "atomic-acquire" : "atomic-release")
-                 << " wf=" << wf.globalId << " episode="
-                 << wf.episode.id << " var=" << wf.episode.syncVar);
-    }
+    DLOG(_sys.eventq(), "Tester", "gpu.tester",
+         (acquire ? "atomic-acquire" : "atomic-release")
+             << " wf=" << wf.globalId << " episode=" << wf.episode.id
+             << " var=" << wf.episode.syncVar);
     _sys.l1(wf.cu).coreRequest(std::move(pkt));
 }
 

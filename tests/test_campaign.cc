@@ -318,7 +318,7 @@ TEST(Campaign, CurveEpisodeAndActionCountsAreConsistent)
     // new_cells sums to the final union active count.
     std::size_t new_cells = 0;
     for (const CoveragePoint &p : res.saturationCurve)
-        new_cells += p.newCells;
+        new_cells += p.newL1Cells + p.newL2Cells + p.newDirCells;
     ASSERT_TRUE(res.l1Union && res.l2Union && res.dirUnion);
     EXPECT_EQ(new_cells, res.l1Union->activeCount("") +
                              res.l2Union->activeCount("") +

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fleet/coordinator.hh"
 #include "golden_digest.hh"
 #include "guidance/adaptive_campaign.hh"
 #include "proto/fault.hh"
@@ -38,12 +39,9 @@ runWithFault(FaultKind fault, std::uint64_t seed,
     return tester.run();
 }
 
-/**
- * Run a guided adaptive campaign with @p fault armed campaign-wide and
- * return its first failure's class (None if no shard failed).
- */
-FailureClass
-guidedCampaignFailureClass(FaultKind fault, CacheSizeClass cache_class)
+/** A small guided campaign's source config with @p fault armed. */
+SourceConfig
+guidedFaultConfig(FaultKind fault, CacheSizeClass cache_class)
 {
     ConfigGenome base;
     base.cacheClass = cache_class;
@@ -64,7 +62,17 @@ guidedCampaignFailureClass(FaultKind fault, CacheSizeClass cache_class)
     cfg.masterSeed = 1;
     cfg.batchSize = 2;
     cfg.maxShards = 16;
-    GuidedSource source(cfg);
+    return cfg;
+}
+
+/**
+ * Run a guided adaptive campaign with @p fault armed campaign-wide and
+ * return its first failure's class (None if no shard failed).
+ */
+FailureClass
+guidedCampaignFailureClass(FaultKind fault, CacheSizeClass cache_class)
+{
+    GuidedSource source(guidedFaultConfig(fault, cache_class));
 
     AdaptiveCampaignResult res = runAdaptiveCampaign(source);
     if (res.passed)
@@ -177,6 +185,29 @@ TEST(Fault, GuidedCampaignDetectsLostWriteThrough)
     EXPECT_EQ(guidedCampaignFailureClass(FaultKind::LostWriteThrough,
                                          CacheSizeClass::Small),
               FailureClass::ValueMismatch);
+}
+
+TEST(Fault, GuidedFirstFailureCarriesItsClass)
+{
+    // The reproduction handle names the failure class it reproduces,
+    // whether the campaign ran in-process or through the coordinator.
+    auto check = [](const AdaptiveCampaignResult &res) {
+        ASSERT_TRUE(res.firstFailure.has_value());
+        EXPECT_EQ(res.firstFailureClass, FailureClass::ValueMismatch);
+        EXPECT_EQ(res.firstFailure->failureClass, res.firstFailureClass);
+    };
+    const SourceConfig cfg = guidedFaultConfig(FaultKind::LostWriteThrough,
+                                               CacheSizeClass::Small);
+
+    GuidedSource in_process(cfg);
+    check(runAdaptiveCampaign(in_process));
+
+    GuidedSource fleet_source(cfg);
+    fleet::CoordinatorConfig coord_cfg;
+    coord_cfg.expectedWorkers = 0;
+    fleet::FleetCoordinator coordinator(fleet_source, coord_cfg);
+    ASSERT_TRUE(coordinator.listen());
+    check(coordinator.run().adaptive);
 }
 
 TEST(Fault, GuidedCampaignDetectsNonAtomicRmw)

@@ -361,7 +361,7 @@ TEST(StreamingMerge, JournalReplayWithTornTailMatchesSortedMerge)
     ASSERT_EQ(kShards, records.size());
     ShardMerge replayed(cfg, kShards);
     for (ShardOutcome &rec : records)
-        replayed.add(std::move(rec), kWall, /*resumed=*/true);
+        replayed.add(rec, kWall, /*resumed=*/true);
     CampaignResult got = replayed.take(kWall);
 
     expectEquivalent(want, got);
@@ -581,7 +581,7 @@ TEST(Fleet, HaltedFleetResumesBitIdentically)
     FleetRun resumed = runFleet("guided", 33, /*workers=*/2, 0, journal,
                                 /*resume=*/true);
     EXPECT_FALSE(resumed.result.halted);
-    EXPECT_EQ(3u, resumed.result.shardsResumed);
+    EXPECT_EQ(3u, resumed.result.adaptive.shardsResumed);
     EXPECT_EQ(6u, resumed.result.adaptive.shardsRun);
     EXPECT_EQ(golden.aggregates, resumed.aggregates)
         << "resume + fleet must reproduce the uninterrupted campaign "
@@ -768,8 +768,8 @@ TEST(FleetStreaming, TriageCarriesWhatFleetIdleTimeNeeds)
     EXPECT_NE(triage.find("\"workers\":2,"), std::string::npos);
     EXPECT_NE(triage.find("\"wall_seconds\":"), std::string::npos);
     EXPECT_NE(triage.find("\"busy_seconds\":"), std::string::npos);
-    EXPECT_GT(result.adaptive.busySeconds, 0.0);
-    EXPECT_LE(result.adaptive.busySeconds,
+    EXPECT_GT(result.adaptive.shardSecondsSum, 0.0);
+    EXPECT_LE(result.adaptive.shardSecondsSum,
               2 * result.adaptive.wallSeconds);
     EXPECT_EQ(aggregatesOf(result).find("_seconds"), std::string::npos)
         << "wall and busy time must stay out of the aggregates";
@@ -867,7 +867,7 @@ TEST(FleetStreaming, OneRoundPullsOneBatchAndResumesBitIdentically)
     cfg.resume = true;
     FleetResult resumed = runThreadFleet(*second, cfg, 2);
     EXPECT_FALSE(resumed.halted);
-    EXPECT_EQ(3u, resumed.shardsResumed);
+    EXPECT_EQ(3u, resumed.adaptive.shardsResumed);
     EXPECT_EQ(12u, resumed.adaptive.shardsRun);
     EXPECT_EQ(iota(12), journaledIndices(journal));
     EXPECT_EQ(golden, aggregatesOf(resumed));

@@ -176,7 +176,6 @@ TEST(GpuTester, CoverageAccumulates)
 
 TEST(GpuTester, FailureReportIncludesHistory)
 {
-    Logger::get().setHistoryDepth(64);
     TesterResult r = runOnce(CacheSizeClass::Small, 8,
                              FaultKind::LostWriteThrough, 100,
                              /*episodes=*/20);

@@ -7,6 +7,7 @@
  * sequence and union digest at any worker count) and scheduling
  * contract (feedback-free strategies stream, feedback-driven ones keep
  * the batch barrier, stops cut at the same batch boundary either way).
+ * The AggregateGoldens tests pin the aggregate bytes themselves.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +25,9 @@
 #include <thread>
 #include <vector>
 
+#include "golden_digest.hh"
 #include "guidance/adaptive_campaign.hh"
+#include "predict/explore.hh"
 
 using namespace drf;
 
@@ -727,9 +730,9 @@ TEST(AdaptiveCampaign, SaturationStopsAtTheSameBatchAtAnyJobs)
     // that: the campaign must stop at the same boundary at any jobs.
     SweepSource probe(tinySourceConfig(7, 12));
     AdaptiveCampaignResult full = runAdaptiveCampaign(probe);
-    ASSERT_EQ(full.curve.size(), 12u);
-    const double target =
-        std::min(full.curve[3].l1Pct, full.curve[3].l2Pct);
+    ASSERT_EQ(full.saturationCurve.size(), 12u);
+    const double target = std::min(full.saturationCurve[3].l1Pct,
+                                   full.saturationCurve[3].l2Pct);
     ASSERT_GT(target, 0.0);
 
     auto run = [target](unsigned jobs) {
@@ -756,12 +759,119 @@ TEST(AdaptiveCampaign, BusySecondsIsAVolatileField)
     AdaptiveCampaignConfig cfg;
     cfg.jobs = 2;
     AdaptiveCampaignResult res = runAdaptiveCampaign(source, cfg);
-    EXPECT_GT(res.busySeconds, 0.0);
-    EXPECT_LE(res.busySeconds, res.jobs * res.wallSeconds);
+    EXPECT_GT(res.shardSecondsSum, 0.0);
+    EXPECT_LE(res.shardSecondsSum, res.jobs * res.wallSeconds);
     EXPECT_NE(adaptiveCampaignToJson(res, "gpu_tester").find(
                   "\"busy_seconds\":"),
               std::string::npos);
     EXPECT_EQ(adaptiveAggregatesJson(res, "gpu_tester").find(
                   "\"busy_seconds\":"),
               std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Aggregate goldens: the campaign aggregates every strategy writes,
+// pinned byte for byte (DRF_PRINT_GOLDENS=1 prints the actual values).
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * Digest of adaptiveAggregatesJson for @p make's source at @p jobs. The
+ * campaign runs its whole budget (no stop on failure), so a failing
+ * shard pins its first_failure block without making the shards run
+ * depend on completion order.
+ */
+std::uint64_t
+aggregatesDigest(const std::function<std::unique_ptr<ShardSource>()> &make,
+                 unsigned jobs)
+{
+    std::unique_ptr<ShardSource> source = make();
+    AdaptiveCampaignConfig cfg;
+    cfg.jobs = jobs;
+    cfg.stopOnFailure = false;
+    AdaptiveCampaignResult res = runAdaptiveCampaign(*source, cfg);
+    return drf::testing::Digest()
+        .str(adaptiveAggregatesJson(res, "gpu_tester"))
+        .value();
+}
+
+/** Pin one strategy's aggregates at jobs 1 and 4 to @p expected. */
+void
+checkAggregates(const std::string &name,
+                const std::function<std::unique_ptr<ShardSource>()> &make,
+                std::uint64_t expected)
+{
+    for (unsigned jobs : {1u, 4u}) {
+        const std::string label = name + "/jobs" + std::to_string(jobs);
+        drf::testing::checkGolden(label.c_str(),
+                                  aggregatesDigest(make, jobs), expected);
+    }
+}
+
+} // namespace
+
+TEST(AggregateGoldens, Sweep)
+{
+    checkAggregates("Sweep", [] {
+        return std::make_unique<SweepSource>(tinySourceConfig(5, 8));
+    }, 0x1d72c5e63e3b986bull);
+}
+
+TEST(AggregateGoldens, Random)
+{
+    checkAggregates("Random", [] {
+        return std::make_unique<RandomSource>(tinySourceConfig(5, 8));
+    }, 0x850409913a20c92bull);
+}
+
+TEST(AggregateGoldens, Guided)
+{
+    checkAggregates("Guided", [] {
+        return std::make_unique<GuidedSource>(tinySourceConfig(5, 8));
+    }, 0xd84205b65106645full);
+}
+
+TEST(AggregateGoldens, Explore)
+{
+    checkAggregates("Explore", [] {
+        ExploreOptions opts;
+        opts.budget = 6;
+        opts.batchSize = 2;
+        opts.maxFlipsPerTrace = 4;
+        // Two wavefronts per CU give the base schedule acquire orders
+        // to flip.
+        ConfigGenome genome = tinyGenome(8, 6);
+        genome.cacheClass = CacheSizeClass::Large;
+        GenomeScale scale = tinyScale();
+        scale.lanes = 8;
+        scale.wfsPerCu = 2;
+        return std::make_unique<ExploreSource>(
+            genomeToPreset(genome, scale, 5), opts);
+    }, 0x41d4090b5eab9a22ull);
+}
+
+TEST(AggregateGoldens, RunCampaignNewCellsAndTotals)
+{
+    CampaignConfig cfg;
+    cfg.jobs = 1;
+    CampaignResult res = runCampaign(
+        gpuSeedSweep(genomeToPreset(tinyGenome(), tinyScale(), 1), 1, 6),
+        cfg);
+    ASSERT_TRUE(res.passed);
+    ASSERT_EQ(res.saturationCurve.size(), 6u);
+
+    drf::testing::Digest d;
+    for (const CoveragePoint &p : res.saturationCurve)
+        d.u64(p.newL1Cells + p.newL2Cells + p.newDirCells);
+    d.u64(res.shardsRun);
+    d.u64(res.totalTicks);
+    d.u64(res.totalEvents);
+    d.u64(res.totalEpisodes);
+    d.u64(res.totalLoadsChecked);
+    d.u64(res.totalStoresRetired);
+    d.u64(res.totalAtomicsChecked);
+    drf::testing::checkGolden("RunCampaign/jobs1", d.value(),
+                              0xbde84f0f73cbf5b1ull);
 }

@@ -20,13 +20,7 @@ namespace
 class LoggerTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        Logger::get().disableAll();
-        Logger::get().clearHistory();
-        Logger::get().setHistoryDepth(256);
-    }
+    void SetUp() override { Logger::get().disableAll(); }
 
     void TearDown() override { SetUp(); }
 };
@@ -91,40 +85,21 @@ TEST_F(LoggerTest, EnableIsSeenByAnotherThread)
     EXPECT_FALSE(after);
 }
 
-TEST_F(LoggerTest, HistoryRetainedEvenWhenDisabled)
-{
-    Logger &log = Logger::get();
-    log.record(42, "Flag", "unit", "hello");
-    auto hist = log.history();
-    ASSERT_EQ(hist.size(), 1u);
-    EXPECT_NE(hist[0].find("42"), std::string::npos);
-    EXPECT_NE(hist[0].find("hello"), std::string::npos);
-    EXPECT_NE(hist[0].find("unit"), std::string::npos);
-}
-
-TEST_F(LoggerTest, HistoryRingBounded)
-{
-    Logger &log = Logger::get();
-    log.setHistoryDepth(4);
-    for (int i = 0; i < 10; ++i)
-        log.record(i, "F", "u", "msg" + std::to_string(i));
-    auto hist = log.history();
-    ASSERT_EQ(hist.size(), 4u);
-    EXPECT_NE(hist[0].find("msg6"), std::string::npos);
-    EXPECT_NE(hist[3].find("msg9"), std::string::npos);
-}
-
 TEST_F(LoggerTest, DlogMacroFormats)
 {
+    // Printed with the flag enabled; nothing at all while it is not.
     EventQueue eq;
     eq.schedule(5, [&eq] {
         DLOG(eq, "Flag", "comp", "value=" << 17);
     });
+    eq.schedule(6, [&eq] {
+        DLOG(eq, "Other", "comp", "hidden=" << 18);
+    });
+    Logger::get().enable("Flag");
+    ::testing::internal::CaptureStdout();
     eq.run();
-    auto hist = Logger::get().history();
-    ASSERT_FALSE(hist.empty());
-    EXPECT_NE(hist.back().find("value=17"), std::string::npos);
-    EXPECT_NE(hist.back().find("5:"), std::string::npos);
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    EXPECT_EQ(out, "5: comp [Flag] value=17\n");
 }
 
 TEST(Counter, IncrementAndReset)

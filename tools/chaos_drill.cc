@@ -395,7 +395,7 @@ main(int argc, char **argv)
                         "chaos_drill: %s resume self-heal ok "
                         "(resumed %zu, crc-skip %llu, torn-skip "
                         "%llu)\n",
-                        sc.name.c_str(), heal.shardsResumed,
+                        sc.name.c_str(), heal.adaptive.shardsResumed,
                         (unsigned long long)heal.resumeCrcSkipped,
                         (unsigned long long)heal.resumeParseSkipped);
                 }

@@ -361,12 +361,13 @@ report(const FleetResult &result, const Options &opt)
         "results %llu, local runs %llu, resumed %zu%s\n",
         result.adaptive.shardsRun, result.adaptive.rounds,
         result.adaptive.passed ? "passed" : "FAILED",
-        result.adaptive.wallSeconds, result.adaptive.busySeconds,
+        result.adaptive.wallSeconds, result.adaptive.shardSecondsSum,
         result.adaptive.jobs, result.workersSeen,
         (unsigned long long)result.leasesIssued,
         (unsigned long long)result.releases,
         (unsigned long long)result.duplicateResults,
-        (unsigned long long)result.localRuns, result.shardsResumed,
+        (unsigned long long)result.localRuns,
+        result.adaptive.shardsResumed,
         result.halted ? " (halted)" : "");
     std::printf("fleet: union digest %016llx\n",
                 (unsigned long long)result.adaptive.unionDigest);
