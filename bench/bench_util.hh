@@ -131,7 +131,7 @@ runApp(const AppProfile &profile, unsigned num_cus = 8)
 /**
  * Worker-thread count for a bench binary: `--jobs N` (or `--jobs=N`)
  * on the command line, else the DRF_JOBS environment variable, else 0
- * (which lets the campaign runner use hardware concurrency).
+ * (which lets the campaign runner use ThreadPool::defaultThreads()).
  */
 inline unsigned
 parseJobs(int argc, char **argv)

@@ -84,7 +84,7 @@ struct ShardSpec
 /** Campaign-level policy knobs. */
 struct CampaignConfig
 {
-    /** Worker threads; 0 means hardware concurrency. */
+    /** Worker threads; 0 means ThreadPool::defaultThreads(). */
     unsigned jobs = 0;
 
     /** Stop launching new shards once any shard fails (protocol-level

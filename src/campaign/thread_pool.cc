@@ -1,5 +1,7 @@
 #include "campaign/thread_pool.hh"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cassert>
 
@@ -9,6 +11,15 @@ namespace drf
 unsigned
 ThreadPool::defaultThreads()
 {
+    // The CPUs this thread may run on: under taskset or a cpuset that
+    // is fewer than the machine has.
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+        int cpus = CPU_COUNT(&set);
+        if (cpus > 0)
+            return static_cast<unsigned>(cpus);
+    }
     unsigned hw = std::thread::hardware_concurrency();
     return std::max(1u, hw);
 }

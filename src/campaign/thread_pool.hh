@@ -37,7 +37,7 @@ class ThreadPool
     using Job = std::function<void()>;
 
     /**
-     * @param threads Worker count; 0 means hardware concurrency.
+     * @param threads Worker count; 0 means defaultThreads().
      */
     explicit ThreadPool(unsigned threads = 0);
 
@@ -68,7 +68,10 @@ class ThreadPool
      */
     std::size_t cancelPending();
 
-    /** Hardware concurrency with a floor of 1. */
+    /**
+     * CPUs in the calling thread's affinity mask, or hardware
+     * concurrency when the mask cannot be read; at least 1.
+     */
     static unsigned defaultThreads();
 
   private:

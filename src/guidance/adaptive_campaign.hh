@@ -44,7 +44,7 @@ namespace drf
 /** Loop-level policy. */
 struct AdaptiveCampaignConfig
 {
-    /** Campaign pool threads; 0 means hardware concurrency. */
+    /** Campaign pool threads; 0 means ThreadPool::defaultThreads(). */
     unsigned jobs = 0;
 
     /** Stop pulling batches once any shard fails. */

@@ -1,5 +1,6 @@
 #include "mem/cache_array.hh"
 
+#include <algorithm>
 #include <cassert>
 
 namespace drf
@@ -14,6 +15,12 @@ isPow2(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
+/**
+ * Entries per pool chunk: 64 x 104 B, so a cache that makes few lines
+ * resident allocates few entries.
+ */
+constexpr std::size_t kChunkEntries = 64;
+
 } // namespace
 
 CacheArray::CacheArray(std::uint64_t size_bytes, unsigned assoc,
@@ -27,45 +34,38 @@ CacheArray::CacheArray(std::uint64_t size_bytes, unsigned assoc,
     _numSets = size_bytes / (static_cast<std::uint64_t>(assoc) *
                              line_bytes);
     assert(isPow2(_numSets));
-    _entries.resize(_numSets * _assoc);
+    _tags.assign(_numSets * _assoc, invalidAddr);
+    _ways.assign(_numSets * _assoc, nullptr);
+    _chunkSize = std::min<std::size_t>(_tags.size(), kChunkEntries);
+    _chunkUsed = _chunkSize;
 }
 
-std::uint64_t
-CacheArray::setIndex(Addr line_addr) const
-{
-    return (line_addr / _lineBytes) & (_numSets - 1);
-}
-
-CacheEntry *
-CacheArray::setBase(Addr line_addr)
-{
-    return &_entries[setIndex(line_addr) * _assoc];
-}
-
-const CacheEntry *
+std::size_t
 CacheArray::setBase(Addr line_addr) const
 {
-    return &_entries[setIndex(line_addr) * _assoc];
+    return ((line_addr / _lineBytes) & (_numSets - 1)) * _assoc;
+}
+
+CacheEntry &
+CacheArray::wayEntry(std::size_t idx)
+{
+    if (_ways[idx] == nullptr) {
+        if (_chunkUsed == _chunkSize) {
+            _chunks.push_back(std::make_unique<CacheEntry[]>(_chunkSize));
+            _chunkUsed = 0;
+        }
+        _ways[idx] = &_chunks.back()[_chunkUsed++];
+    }
+    return *_ways[idx];
 }
 
 CacheEntry *
-CacheArray::findEntry(Addr line_addr)
+CacheArray::lookup(Addr line_addr) const
 {
-    CacheEntry *base = setBase(line_addr);
-    for (unsigned way = 0; way < _assoc; ++way) {
-        if (base[way].valid && base[way].lineAddr == line_addr)
-            return &base[way];
-    }
-    return nullptr;
-}
-
-const CacheEntry *
-CacheArray::findEntry(Addr line_addr) const
-{
-    const CacheEntry *base = setBase(line_addr);
-    for (unsigned way = 0; way < _assoc; ++way) {
-        if (base[way].valid && base[way].lineAddr == line_addr)
-            return &base[way];
+    const std::size_t base = setBase(line_addr);
+    for (std::size_t i = base; i < base + _assoc; ++i) {
+        if (_tags[i] == line_addr)
+            return _ways[i];
     }
     return nullptr;
 }
@@ -73,9 +73,9 @@ CacheArray::findEntry(Addr line_addr) const
 bool
 CacheArray::hasFreeWay(Addr line_addr) const
 {
-    const CacheEntry *base = setBase(line_addr);
-    for (unsigned way = 0; way < _assoc; ++way) {
-        if (!base[way].valid)
+    const std::size_t base = setBase(line_addr);
+    for (std::size_t i = base; i < base + _assoc; ++i) {
+        if (_tags[i] == invalidAddr)
             return true;
     }
     return false;
@@ -84,35 +84,36 @@ CacheArray::hasFreeWay(Addr line_addr) const
 CacheEntry &
 CacheArray::allocate(Addr line_addr)
 {
+    assert(line_addr != invalidAddr);
     assert(findEntry(line_addr) == nullptr);
-    CacheEntry *base = setBase(line_addr);
-    for (unsigned way = 0; way < _assoc; ++way) {
-        CacheEntry &entry = base[way];
-        if (!entry.valid) {
-            entry.valid = true;
-            entry.lineAddr = line_addr;
-            entry.state = 0;
-            entry.data.fill(0);
-            entry.dirty = 0;
-            touch(entry);
-            return entry;
-        }
+    const std::size_t base = setBase(line_addr);
+    for (std::size_t i = base; i < base + _assoc; ++i) {
+        if (_tags[i] != invalidAddr)
+            continue;
+        _tags[i] = line_addr;
+        CacheEntry &entry = wayEntry(i);
+        entry.valid = true;
+        entry.lineAddr = line_addr;
+        entry.state = 0;
+        entry.data.fill(0);
+        entry.dirty = 0;
+        touch(entry);
+        return entry;
     }
     assert(false && "allocate called with no free way");
-    return base[0];
+    return wayEntry(base);
 }
 
 CacheEntry &
 CacheArray::victim(Addr line_addr)
 {
-    CacheEntry *base = setBase(line_addr);
+    const std::size_t base = setBase(line_addr);
     CacheEntry *lru = nullptr;
-    for (unsigned way = 0; way < _assoc; ++way) {
-        CacheEntry &entry = base[way];
-        if (!entry.valid)
+    for (std::size_t i = base; i < base + _assoc; ++i) {
+        if (_tags[i] == invalidAddr)
             continue;
-        if (lru == nullptr || entry.lastUsed < lru->lastUsed)
-            lru = &entry;
+        if (lru == nullptr || _ways[i]->lastUsed < lru->lastUsed)
+            lru = _ways[i];
     }
     assert(lru != nullptr && "victim requested from an empty set");
     return *lru;
@@ -121,6 +122,16 @@ CacheArray::victim(Addr line_addr)
 void
 CacheArray::invalidate(CacheEntry &entry)
 {
+    if (entry.valid) {
+        const std::size_t base = setBase(entry.lineAddr);
+        for (std::size_t i = base; i < base + _assoc; ++i) {
+            if (_tags[i] == entry.lineAddr) {
+                assert(_ways[i] == &entry);
+                _tags[i] = invalidAddr;
+                break;
+            }
+        }
+    }
     entry.valid = false;
     entry.lineAddr = invalidAddr;
     entry.state = 0;
@@ -130,29 +141,27 @@ CacheArray::invalidate(CacheEntry &entry)
 void
 CacheArray::invalidateAll()
 {
-    for (auto &entry : _entries) {
-        if (entry.valid)
-            invalidate(entry);
-    }
+    forEachEntry([this](CacheEntry &entry) { invalidate(entry); });
 }
 
 std::vector<CacheEntry *>
 CacheArray::setEntries(Addr line_addr)
 {
-    std::vector<CacheEntry *> ways;
-    CacheEntry *base = setBase(line_addr);
-    ways.reserve(_assoc);
-    for (unsigned way = 0; way < _assoc; ++way)
-        ways.push_back(&base[way]);
-    return ways;
+    std::vector<CacheEntry *> entries;
+    const std::size_t base = setBase(line_addr);
+    for (std::size_t i = base; i < base + _assoc; ++i) {
+        if (_tags[i] != invalidAddr)
+            entries.push_back(_ways[i]);
+    }
+    return entries;
 }
 
 std::uint64_t
 CacheArray::validCount() const
 {
     std::uint64_t count = 0;
-    for (const auto &entry : _entries)
-        count += entry.valid ? 1 : 0;
+    for (Addr tag : _tags)
+        count += tag != invalidAddr ? 1 : 0;
     return count;
 }
 

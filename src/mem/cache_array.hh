@@ -5,12 +5,22 @@
  *
  * The array is protocol-agnostic: controllers store their coherence state
  * in each entry's integer @c state field and interpret it themselves.
+ *
+ * Storage is sized by the lines a run makes resident, not by capacity.
+ * A contiguous per-way tag array (invalidAddr marks a free way) is what
+ * lookups and free-way checks scan. A way's CacheEntry is created on
+ * the way's first allocate(), in a chunked pool, and keeps its address
+ * for the array's lifetime: an invalidated way keeps its entry for the
+ * next line it holds. A Large 8-CU system has ~49K ways (~5 MB of
+ * entries), yet a tester run over a 16 KiB range makes at most 256
+ * lines resident per cache, so each cache creates at most that many.
  */
 
 #ifndef DRF_MEM_CACHE_ARRAY_HH
 #define DRF_MEM_CACHE_ARRAY_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "mem/line.hh"
@@ -56,8 +66,11 @@ class CacheArray
     }
 
     /** Find the entry holding @p line_addr, or nullptr on a miss. */
-    CacheEntry *findEntry(Addr line_addr);
-    const CacheEntry *findEntry(Addr line_addr) const;
+    CacheEntry *findEntry(Addr line_addr) { return lookup(line_addr); }
+    const CacheEntry *findEntry(Addr line_addr) const
+    {
+        return lookup(line_addr);
+    }
 
     /** True if the set for @p line_addr has an invalid (free) way. */
     bool hasFreeWay(Addr line_addr) const;
@@ -90,37 +103,47 @@ class CacheArray
     /** Number of currently valid entries. */
     std::uint64_t validCount() const;
 
-    /** All entries (tests and flush walks). */
-    std::vector<CacheEntry> &entries() { return _entries; }
-    const std::vector<CacheEntry> &entries() const { return _entries; }
+    /**
+     * Call @p fn(CacheEntry &) for every valid entry, in (set, way)
+     * order. Validity is read as the walk reaches each way, so @p fn
+     * may invalidate the entry it is given.
+     */
+    template <typename Fn>
+    void
+    forEachEntry(Fn &&fn)
+    {
+        for (std::size_t i = 0; i < _tags.size(); ++i) {
+            if (_tags[i] != invalidAddr)
+                fn(*_ways[i]);
+        }
+    }
 
     /**
-     * Pointers to every way of @p line_addr's set, for controllers that
-     * need custom victim policies (e.g. skipping lines with MSHRs).
+     * The valid entries of @p line_addr's set, in way order, for
+     * controllers that need custom victim policies (e.g. skipping
+     * lines with MSHRs).
      */
     std::vector<CacheEntry *> setEntries(Addr line_addr);
 
-    /**
-     * First way of @p line_addr's set. The set's @c assoc() ways are
-     * contiguous, so hot paths can walk them without the vector that
-     * setEntries() builds.
-     */
-    CacheEntry *setWays(Addr line_addr) { return setBase(line_addr); }
-    const CacheEntry *setWays(Addr line_addr) const
-    {
-        return setBase(line_addr);
-    }
-
   private:
-    std::uint64_t setIndex(Addr line_addr) const;
-    CacheEntry *setBase(Addr line_addr);
-    const CacheEntry *setBase(Addr line_addr) const;
+    /** Index of the first way of @p line_addr's set. */
+    std::size_t setBase(Addr line_addr) const;
+
+    /** The entry holding @p line_addr, or nullptr. */
+    CacheEntry *lookup(Addr line_addr) const;
+
+    /** The entry of way @p idx, created on first use. */
+    CacheEntry &wayEntry(std::size_t idx);
 
     unsigned _assoc;
     unsigned _lineBytes;
     std::uint64_t _numSets;
     std::uint64_t _useClock = 0;
-    std::vector<CacheEntry> _entries;
+    std::vector<Addr> _tags;        ///< per way; invalidAddr = free
+    std::vector<CacheEntry *> _ways; ///< per way; null until first use
+    std::vector<std::unique_ptr<CacheEntry[]>> _chunks;
+    std::size_t _chunkSize = 0; ///< entries per chunk
+    std::size_t _chunkUsed = 0; ///< entries taken from the last chunk
 };
 
 } // namespace drf

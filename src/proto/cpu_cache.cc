@@ -289,10 +289,8 @@ CpuCache::makeRoom(Addr line_addr)
     // Pick the LRU way whose line has no MSHR (an SM upgrade keeps its S
     // copy in the array and must not be victimized underneath it).
     CacheEntry *victim_ptr = nullptr;
-    CacheEntry *ways = _array.setWays(line_addr);
-    for (unsigned w = 0; w < _array.assoc(); ++w) {
-        CacheEntry *way = &ways[w];
-        if (!way->valid || _tbes.contains(way->lineAddr))
+    for (CacheEntry *way : _array.setEntries(line_addr)) {
+        if (_tbes.contains(way->lineAddr))
             continue;
         if (victim_ptr == nullptr || way->lastUsed < victim_ptr->lastUsed)
             victim_ptr = way;
@@ -348,9 +346,8 @@ CpuCache::handleData(Packet &pkt)
         // one of them resolves. Checked before the transition is
         // recorded, so a retried fill does not double-count coverage.
         bool can_fill = false;
-        const CacheEntry *ways = _array.setWays(line);
-        for (unsigned w = 0; w < _array.assoc(); ++w) {
-            if (ways[w].valid && !_tbes.contains(ways[w].lineAddr)) {
+        for (const CacheEntry *way : _array.setEntries(line)) {
+            if (!_tbes.contains(way->lineAddr)) {
                 can_fill = true;
                 break;
             }

@@ -455,14 +455,12 @@ GpuL1Cache::flashInvalidate()
     _cFlashInvalidates->inc();
     bool any = false;
     TransCtx ctx;
-    for (auto &entry : _array.entries()) {
-        if (entry.valid) {
-            ctx.entry = &entry;
-            ctx.line = entry.lineAddr;
-            _table->fire(*this, EvEvict, entryState(entry), ctx);
-            any = true;
-        }
-    }
+    _array.forEachEntry([&](CacheEntry &entry) {
+        ctx.entry = &entry;
+        ctx.line = entry.lineAddr;
+        _table->fire(*this, EvEvict, entryState(entry), ctx);
+        any = true;
+    });
     _tbes.forEach([&](Addr line, const Tbe &) {
         // In-flight fills are fetched from the L2 at or after the acquire
         // point, so they are left to complete.
@@ -498,13 +496,13 @@ void
 GpuL1Cache::writebackAllDirty()
 {
     TransCtx ctx;
-    for (auto &entry : _array.entries()) {
-        if (entry.valid && entry.state == kLineDirty) {
+    _array.forEachEntry([&](CacheEntry &entry) {
+        if (entry.state == kLineDirty) {
             ctx.entry = &entry;
             ctx.line = entry.lineAddr;
             _table->fire(*this, EvWB, StM, ctx);
         }
-    }
+    });
 }
 
 void

@@ -16,6 +16,11 @@
  * armed, and (b) — when a fault is armed and verification is on —
  * passes with the fault disarmed, proving the failure is caused by the
  * bug under investigation and not by an artifact of the shrink itself.
+ *
+ * The candidates of one ddmin step are replayed concurrently on a pool
+ * of ThreadPool::defaultThreads() threads, then accounted in serial
+ * order: the shrunk schedule and ShrinkStats (but `replays` and
+ * `seconds`) are those of a serial search at any thread count.
  */
 
 #ifndef DRF_TRACE_SHRINK_HH
@@ -32,7 +37,7 @@ namespace drf
 /** Shrink policy knobs. */
 struct ShrinkOptions
 {
-    /** Hard cap on candidate replays (the dominant cost). */
+    /** Hard cap on probes (see ShrinkStats::probes). */
     std::size_t maxProbes = 2000;
 
     /**
@@ -50,7 +55,18 @@ struct ShrinkStats
 {
     std::size_t originalEpisodes = 0;
     std::size_t shrunkEpisodes = 0;
-    std::size_t probes = 0;       ///< replays executed
+    /**
+     * Candidates probed, in serial ddmin order. A probe runs one
+     * replay, or two when the fault-disarmed check follows.
+     */
+    std::size_t probes = 0;
+    /**
+     * Every replay run, including fault-disarmed checks and candidates
+     * replayed concurrently but discarded because a lower-index one
+     * failed. probes / replays is the useful-work ratio. Unlike the
+     * other counts it depends on thread timing.
+     */
+    std::size_t replays = 0;
     std::size_t improvements = 0; ///< accepted (smaller) candidates
     bool probeBudgetExhausted = false;
     double seconds = 0.0;         ///< wall-clock shrink time

@@ -15,14 +15,31 @@
 #include <vector>
 
 #include "campaign/thread_pool.hh"
+#include "pinned_thread.hh"
 
 using namespace drf;
+using drf::testing::runPinnedToOneCpu;
 
 TEST(ThreadPool, DefaultThreadsIsAtLeastOne)
 {
     EXPECT_GE(ThreadPool::defaultThreads(), 1u);
     ThreadPool pool;
     EXPECT_GE(pool.threadCount(), 1u);
+}
+
+// A jobs=0 campaign must not oversubscribe a process confined by
+// taskset or a cpuset: defaultThreads() counts the affinity mask.
+TEST(ThreadPool, DefaultThreadsCountsTheAffinityMask)
+{
+    unsigned threads = 0;
+    unsigned pool_threads = 0;
+    runPinnedToOneCpu([&] {
+        threads = ThreadPool::defaultThreads();
+        ThreadPool pool;
+        pool_threads = pool.threadCount();
+    });
+    EXPECT_EQ(threads, 1u);
+    EXPECT_EQ(pool_threads, 1u);
 }
 
 TEST(ThreadPool, RunsEveryJobExactlyOnce)

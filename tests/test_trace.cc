@@ -17,6 +17,7 @@
 #include <sstream>
 
 #include "golden_digest.hh"
+#include "pinned_thread.hh"
 #include "trace/chrome_trace.hh"
 #include "trace/repro.hh"
 #include "trace/shrink.hh"
@@ -237,6 +238,7 @@ TEST(Trace, ShrinkerMinimizesLostWriteThrough)
     EXPECT_EQ(stats.originalEpisodes, original);
     EXPECT_EQ(stats.shrunkEpisodes, shrunk.size());
     EXPECT_GT(stats.probes, 0u);
+    EXPECT_GE(stats.replays, stats.probes);
     EXPECT_LE(shrunk.size(), (original + 9) / 10)
         << "shrinker left " << shrunk.size() << " of " << original
         << " episodes";
@@ -425,4 +427,123 @@ TEST(Trace, PerturbedReplayDeterministic)
     EXPECT_EQ(p1.report, p2.report);
     // The delay really steered the run into a different interleaving.
     EXPECT_NE(p1.ticks, base.ticks);
+}
+
+// ShrinkGoldens: the shrinker's exact choices, pinned. Each case
+// digests the shrunk schedule's episode ids together with the probe
+// accounting, so any change to which candidates ddmin probes, in which
+// order, or which one it commits shows up as a digest mismatch. The
+// four faults are the bughunt set; the budget-cut cases stop the
+// search part-way through a granularity step and through the polish.
+namespace
+{
+
+std::uint64_t
+shrinkDigest(const ReproTrace &trace, std::size_t max_probes)
+{
+    ShrinkOptions opts;
+    opts.maxProbes = max_probes;
+    ShrinkStats stats;
+    EpisodeSchedule shrunk = shrinkRepro(trace, opts, &stats);
+    EXPECT_EQ(stats.shrunkEpisodes, shrunk.size());
+
+    Digest d;
+    d.u64(shrunk.size());
+    for (const Episode &e : shrunk.episodes)
+        d.u64(e.id);
+    d.u64(stats.probes);
+    d.u64(stats.improvements);
+    d.u64(stats.shrunkEpisodes);
+    d.u64(stats.probeBudgetExhausted ? 1 : 0);
+    return d.value();
+}
+
+// Captured from the serial shrinker. Two of them are checked twice.
+constexpr std::uint64_t kShrinkLostWriteThrough = 0xb1f8f0f11b703c96ull;
+constexpr std::uint64_t kShrinkBudget17 = 0x6b0c867b5b65a357ull;
+
+/** A failing recording of @p fault at a 20% trigger, 12 episodes/WF. */
+ReproTrace
+failingTrace(CacheSizeClass cache_class, std::uint64_t seed,
+             FaultKind fault)
+{
+    RecordedRun run = recordGolden(cache_class, seed, fault,
+                                   /*capture_events=*/false,
+                                   /*trigger_pct=*/20,
+                                   /*episodes_per_wf=*/12);
+    EXPECT_FALSE(run.trace.result.passed);
+    return run.trace;
+}
+
+} // namespace
+
+TEST(ShrinkGoldens, LostWriteThroughSmall)
+{
+    ReproTrace trace = failingTrace(CacheSizeClass::Small, 42,
+                                    FaultKind::LostWriteThrough);
+    checkGolden("ShrinkGoldens.LostWriteThroughSmall",
+                shrinkDigest(trace, ShrinkOptions{}.maxProbes),
+                kShrinkLostWriteThrough);
+}
+
+TEST(ShrinkGoldens, NonAtomicRmwSmall)
+{
+    ReproTrace trace = failingTrace(CacheSizeClass::Small, 42,
+                                    FaultKind::NonAtomicRmw);
+    checkGolden("ShrinkGoldens.NonAtomicRmwSmall",
+                shrinkDigest(trace, ShrinkOptions{}.maxProbes),
+                0xcf526c8147d14733ull);
+}
+
+TEST(ShrinkGoldens, DropWriteAckSmall)
+{
+    ReproTrace trace = failingTrace(CacheSizeClass::Small, 42,
+                                    FaultKind::DropWriteAck);
+    checkGolden("ShrinkGoldens.DropWriteAckSmall",
+                shrinkDigest(trace, ShrinkOptions{}.maxProbes),
+                0x0a8ee2862b217405ull);
+}
+
+TEST(ShrinkGoldens, DropAcquireInvalidateLarge)
+{
+    ReproTrace trace = failingTrace(CacheSizeClass::Large, 7,
+                                    FaultKind::DropAcquireInvalidate);
+    checkGolden("ShrinkGoldens.DropAcquireInvalidateLarge",
+                shrinkDigest(trace, ShrinkOptions{}.maxProbes),
+                0x3c60266cd0a223f6ull);
+}
+
+// The candidates of a ddmin step are replayed concurrently; the pinned
+// digests must come out the same when the shrink pool has one thread.
+TEST(ShrinkGoldens, OneThreadMatchesGoldens)
+{
+    ReproTrace lost = failingTrace(CacheSizeClass::Small, 42,
+                                   FaultKind::LostWriteThrough);
+    ReproTrace rmw = failingTrace(CacheSizeClass::Small, 42,
+                                  FaultKind::NonAtomicRmw);
+    runPinnedToOneCpu([&] {
+        checkGolden("ShrinkGoldens.LostWriteThroughSmall",
+                    shrinkDigest(lost, ShrinkOptions{}.maxProbes),
+                    kShrinkLostWriteThrough);
+        checkGolden("ShrinkGoldens.Budget17", shrinkDigest(rmw, 17),
+                    kShrinkBudget17);
+    });
+}
+
+TEST(ShrinkGoldens, BudgetCuts)
+{
+    // 61 episodes: budgets 1 and 5 end inside the first granularity
+    // steps.
+    ReproTrace lost = failingTrace(CacheSizeClass::Small, 42,
+                                   FaultKind::LostWriteThrough);
+    checkGolden("ShrinkGoldens.Budget1", shrinkDigest(lost, 1),
+                0x882684ca9b5d4eb9ull);
+    checkGolden("ShrinkGoldens.Budget5", shrinkDigest(lost, 5),
+                0x25105d540874247aull);
+    // 8 episodes: ddmin is done after 14 probes, so budget 17 ends
+    // among the polish pass's single-episode subsets.
+    ReproTrace rmw = failingTrace(CacheSizeClass::Small, 42,
+                                  FaultKind::NonAtomicRmw);
+    checkGolden("ShrinkGoldens.Budget17", shrinkDigest(rmw, 17),
+                kShrinkBudget17);
 }

@@ -374,10 +374,15 @@ cmdShrink(const Args &a)
     ShrinkStats stats;
     EpisodeSchedule shrunk = shrinkRepro(trace, opts, &stats);
 
-    std::printf("shrink: %zu -> %zu episodes (%zu probes, %zu "
-                "improvements, %.2f s%s)\n",
+    // Useful-work ratio: probes per replay run (ShrinkStats::replays).
+    std::printf("shrink: %zu -> %zu episodes (%zu probes, %zu replays, "
+                "%.2f useful, %zu improvements, %.2f s%s)\n",
                 stats.originalEpisodes, stats.shrunkEpisodes,
-                stats.probes, stats.improvements, stats.seconds,
+                stats.probes, stats.replays,
+                stats.replays != 0
+                    ? double(stats.probes) / double(stats.replays)
+                    : 1.0,
+                stats.improvements, stats.seconds,
                 stats.probeBudgetExhausted ? ", probe budget exhausted"
                                            : "");
 
