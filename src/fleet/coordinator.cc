@@ -1016,10 +1016,10 @@ FleetCoordinator::run()
     std::vector<Impl::Arrived> ready;
 
     for (;;) {
-        // Pull and stage every batch the pull rule admits right now:
-        // sweep and random while the fleet has room, so a worker that
-        // reports finds a lease waiting; guided and explore only once
-        // the previous batch drained.
+        // Pull and stage every batch the pull rule admits right now,
+        // while the fleet has room, so a worker that reports finds a
+        // lease waiting. A source that answers "not yet" (its next
+        // batch needs feedback) is asked again after the next drain.
         std::vector<std::pair<ShardSpec, std::size_t>> local_only;
         {
             std::lock_guard<std::mutex> lock(im.mutex);

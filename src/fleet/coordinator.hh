@@ -10,15 +10,17 @@
  * thing that parallelizes perfectly: shard execution, which is a pure
  * function of (genome, scale, seed).
  *
- * Scheduling streams where it can. The coordinator pulls batches
- * through the same pull rule and reorder window as the in-process loop
- * (BatchWindow, guidance/adaptive_campaign.hh). A feedbackFree() source
- * (sweep, random) is asked for its next batch whenever fewer shards
- * are leased or pending than the alive workers can hold (workers ×
- * queueDepth), so a freed queue slot is refilled at once and no batch
- * waits for its predecessor's straggler. A guided or explore source keeps the batch
- * barrier: its next batch is pulled only after the previous one fully
- * drained. Either way results arrive over sockets in arbitrary order
+ * Scheduling streams. The coordinator pulls batches through the same
+ * pull rule and reorder window as the in-process loop (BatchWindow,
+ * guidance/adaptive_campaign.hh): the source is asked for its next
+ * batch whenever fewer shards are leased or pending than the alive
+ * workers can hold (workers × queueDepth), so a freed queue slot is
+ * refilled at once and no batch waits for its predecessor's straggler.
+ * A source whose next batch depends on feedback it has not received
+ * yet (guided always, explore while its frontier is short) answers
+ * with an empty batch and is asked again once the oldest outstanding
+ * batch drained; that answer, not the strategy, is what keeps a batch
+ * barrier. Either way results arrive over sockets in arbitrary order
  * and wait, keyed by global shard index, until their batch is the
  * oldest one pulled and complete (every index answered, no quorum
  * cross-check pending). Then the batch drains — merge, journal and

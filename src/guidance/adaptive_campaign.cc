@@ -1,6 +1,5 @@
 #include "guidance/adaptive_campaign.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -153,17 +152,16 @@ class Mailbox
 } // namespace
 
 BatchWindow::BatchWindow(ShardSource &source, std::size_t max_batches)
-    : _source(source), _streaming(feedbackFree(source.strategy())),
-      _maxBatches(max_batches)
+    : _source(source), _maxBatches(max_batches)
 {
 }
 
 bool
 BatchWindow::mayPull(std::size_t in_flight, std::size_t capacity) const
 {
-    if (_exhausted || capped())
+    if (_exhausted || _waiting || capped())
         return false;
-    return _streaming ? in_flight < capacity : _batches.empty();
+    return in_flight < capacity;
 }
 
 std::vector<ShardSpec>
@@ -171,7 +169,13 @@ BatchWindow::pull()
 {
     std::vector<ShardSpec> batch = _source.nextBatch();
     if (batch.empty()) {
-        _exhausted = true;
+        // With batches still undrained, an empty answer only means the
+        // source needs their feedback first: ask again after the next
+        // drain. With nothing undrained it means the source is done.
+        if (_batches.empty())
+            _exhausted = true;
+        else
+            _waiting = true;
         return batch;
     }
     ++_pulled;
@@ -185,6 +189,7 @@ BatchWindow::popFront()
 {
     _drained = _batches.front().end;
     _batches.pop_front();
+    _waiting = false;
 }
 
 bool
@@ -198,7 +203,6 @@ runAdaptiveCampaign(ShardSource &source, const AdaptiveCampaignConfig &cfg)
 {
     FeedbackLoop loop(source, cfg);
     BatchWindow window(source);
-    const bool streaming = feedbackFree(source.strategy());
     const unsigned jobs =
         cfg.jobs != 0 ? cfg.jobs : ThreadPool::defaultThreads();
     Clock::time_point start = Clock::now();
@@ -218,16 +222,8 @@ runAdaptiveCampaign(ShardSource &source, const AdaptiveCampaignConfig &cfg)
 
     // Every ShardSource call below stays on this driving thread.
     auto submit = [&](std::vector<ShardSpec> batch) {
-        // A barrier runs one batch at a time, so its pool grows (idle,
-        // between batches) only to the largest batch: a thread beyond
-        // that would only take turns with the others, and each thread
-        // that ran a shard keeps its own allocator arena resident.
-        const unsigned want =
-            streaming ? jobs
-                      : static_cast<unsigned>(std::min<std::size_t>(
-                            jobs, batch.size()));
-        if (!pool || pool->threadCount() < want)
-            pool.emplace(want);
+        if (!pool)
+            pool.emplace(jobs);
         std::size_t index = window.end() - batch.size();
         for (ShardSpec &spec : batch) {
             pool->submit([&, index = index++, spec = std::move(spec)] {

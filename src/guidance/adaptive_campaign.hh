@@ -7,18 +7,20 @@
  * whole campaign. Finished shards wait in a reorder buffer; each batch
  * is fed back once it is complete, in global shard-index order, with
  * its newly-covered-cell counts computed against the cross-batch
- * union. When the next batch may be pulled depends on the strategy: a
- * feedbackFree() source (sweep, random) is asked again as soon as a
- * worker would otherwise go idle, so a straggler no longer idles the
- * pool; a feedback-driven one (guided, explore) only after every shard
- * of its previous batch was reported. That pull rule and the reorder
- * window live in BatchWindow, which the fleet coordinator (src/fleet)
- * schedules through as well.
+ * union. The source is asked for its next batch as soon as a worker
+ * would otherwise go idle, whatever its strategy; it answers with an
+ * empty batch while that batch depends on feedback it has not received
+ * yet (guided always, explore while its frontier is short), and is
+ * asked again after the next batch drains. So a straggler idles the
+ * pool only when the source itself has nothing to issue. That pull
+ * rule and the reorder window live in BatchWindow, which the fleet
+ * coordinator (src/fleet) schedules through as well.
  *
  * Determinism contract: per-shard results are bit-exact functions of
  * (configuration, seed); the source only ever observes the
  * index-ordered outcome stream; and rounds are counted and the stop
- * policy checked at the same batch boundaries either way. Outcomes of
+ * policy checked at batch boundaries, however far ahead batches were
+ * pulled. Outcomes of
  * batches pulled ahead of a stop are discarded: never reported, never
  * counted. Therefore two runs with the same master seed and no failing
  * shard produce the identical shard schedule, decision log, and
@@ -105,13 +107,13 @@ struct AdaptiveCampaignResult : CampaignResult
  * the source with its ShardFeedback, the round count, the failing
  * shard's preset, the union digest, the decision log and the predict
  * triage. Call beginRound() for each batch, feed its outcomes strictly
- * in global shard-index order, then check stopRequested(). The next
- * batch may already be running (a feedbackFree() source streams), but
- * none of its outcomes may be fed before that check. Because per-shard
- * results are bit-exact functions of (configuration, seed), the
- * resulting AdaptiveCampaignResult is then identical however the
- * outcomes were actually computed — threads, worker processes, remote
- * hosts, or a resume journal.
+ * in global shard-index order, then check stopRequested(). Later
+ * batches may already be running (pulled ahead under BatchWindow's
+ * rule), but none of their outcomes may be fed before that check.
+ * Because per-shard results are bit-exact functions of (configuration,
+ * seed), the resulting AdaptiveCampaignResult is then identical however
+ * the outcomes were actually computed — threads, worker processes,
+ * remote hosts, or a resume journal.
  */
 class FeedbackLoop
 {
@@ -155,12 +157,14 @@ class FeedbackLoop
  * themselves stay with the caller, keyed by global shard index; the
  * window only says which index range drains next.
  *
- * The pull rule keys off feedbackFree(source.strategy()): a sweep or
- * random source is pulled whenever fewer shards are in flight than the
- * executors can hold, so no batch waits for its predecessor's
- * straggler; a guided or explore source only once every pulled batch
- * drained (the batch barrier). Either way batches drain strictly in
- * pull order, each through FeedbackLoop in global index order.
+ * The pull rule asks the source whenever fewer shards are in flight
+ * than the executors can hold, so no batch waits for its predecessor's
+ * straggler, and lets the source's answer decide: an empty batch while
+ * pulled batches are still undrained means "not yet" (its next batch
+ * depends on their feedback), and the source is not asked again until
+ * the next popFront(); an empty batch with nothing undrained means the
+ * source ran dry. Batches drain strictly in pull order, each through
+ * FeedbackLoop in global index order.
  */
 class BatchWindow
 {
@@ -184,7 +188,8 @@ class BatchWindow
 
     /**
      * Pull the next batch; its shards take the global indices from
-     * end() − size() on. An empty batch means the source ran dry.
+     * end() − size() on. An empty batch means "not yet" while batches
+     * are undrained, and that the source ran dry otherwise.
      */
     std::vector<ShardSpec> pull();
 
@@ -229,13 +234,13 @@ class BatchWindow
 
   private:
     ShardSource &_source;
-    const bool _streaming;
     const std::size_t _maxBatches;
     std::deque<Range> _batches;
     std::size_t _pulled = 0;
     std::size_t _drained = 0;
     std::size_t _end = 0;
     bool _exhausted = false;
+    bool _waiting = false; ///< answered "not yet"; ask after popFront()
 };
 
 /** Drive @p source to completion under @p cfg. */

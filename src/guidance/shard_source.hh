@@ -13,11 +13,13 @@
  * completion order. Because per-shard results are bit-exact functions
  * of (configuration, seed), the feedback stream a source observes —
  * and therefore every decision it makes — is identical across thread
- * counts and re-runs with the same master seed. Feedback-driven
- * strategies (guided, explore) see every shard of a batch reported
- * before their next nextBatch(); feedback-free ones (sweep, random)
- * may be asked for the next batch while earlier shards still run
- * (see feedbackFree()).
+ * counts and re-runs with the same master seed. Any source may be asked
+ * for its next batch while earlier shards still run; one whose next
+ * batch depends on feedback it has not received yet answers with an
+ * empty batch and is asked again once the oldest outstanding batch was
+ * reported (ShardSource::nextBatch). Sweep and random never need to;
+ * guided always does; explore does only while its frontier is too
+ * short to fill the batch.
  *
  * Strategies:
  *  - sweep:  the Table III presets in order (the status quo);
@@ -50,16 +52,6 @@ enum class Strategy
 };
 
 const char *strategyName(Strategy s);
-
-/**
- * True for strategies whose batches never depend on reported feedback
- * (sweep, random). The adaptive loop and the fleet coordinator stream
- * their batches to the executors with no batch barrier (the pull rule
- * of BatchWindow, adaptive_campaign.hh); feedback-driven strategies
- * keep it. Both key off ShardSource::strategy(), so a decorating source
- * that forwards strategy() keeps its inner source's scheduling.
- */
-bool feedbackFree(Strategy s);
 std::optional<Strategy> parseStrategy(const std::string &name);
 
 /**
@@ -117,13 +109,19 @@ class ShardSource
 
     virtual Strategy strategy() const = 0;
 
-    /** Next batch of shards to run; empty means the campaign is done. */
+    /**
+     * Next batch of shards to run. May be called while issued shards
+     * are still unreported: a source whose next batch depends on their
+     * feedback then returns an empty batch ("not yet") and is asked
+     * again after the oldest outstanding batch was reported. With
+     * every issued shard reported, an empty batch means the campaign
+     * is done. A decorating source that forwards this call keeps its
+     * inner source's scheduling.
+     */
     virtual std::vector<ShardSpec> nextBatch() = 0;
 
     /**
-     * Outcome of one issued shard, in global shard-index order. For a
-     * feedback-driven strategy every shard of a batch is reported
-     * before the next nextBatch(); for a feedbackFree() one, later
+     * Outcome of one issued shard, in global shard-index order. Later
      * batches may already have been pulled.
      */
     virtual void

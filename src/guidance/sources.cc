@@ -18,12 +18,6 @@ strategyName(Strategy s)
     return "?";
 }
 
-bool
-feedbackFree(Strategy s)
-{
-    return s == Strategy::Sweep || s == Strategy::Random;
-}
-
 std::optional<Strategy>
 parseStrategy(const std::string &name)
 {
@@ -176,8 +170,9 @@ GuidedSource::maybeBreedMutant()
 std::vector<ShardSpec>
 GuidedSource::nextBatch()
 {
-    assert(_pendingReceived == _pendingExpected &&
-           "previous batch not fully reported");
+    // The next arm choice needs the previous batch's reward: not yet.
+    if (_pendingReceived != _pendingExpected)
+        return {};
     if (done())
         return {};
 

@@ -1,5 +1,6 @@
 #include "predict/explore.hh"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_map>
 
@@ -112,24 +113,31 @@ ExploreSource::expandFrontier(const std::vector<TraceEvent> &events,
 std::vector<ShardSpec>
 ExploreSource::nextBatch()
 {
+    // Children of unreported shards will join the frontier's back, so
+    // its front is final: if it already holds the whole batch, issue
+    // it now; otherwise the batch still depends on their feedback.
+    const std::size_t want =
+        std::min(_opts.batchSize, _opts.budget - _issued);
+    if (!_pending.empty() && _frontier.size() < want)
+        return {};
+
     std::vector<ShardSpec> batch;
-    while (batch.size() < _opts.batchSize && _issued < _opts.budget &&
-           !_frontier.empty()) {
-        const std::uint64_t seed = _preset.tester.seed + 1 + _issued;
-        auto [it, inserted] = _pending.emplace(
-            seed, Pending{std::move(_frontier.front()), {}});
+    const std::size_t batch_end =
+        _issued + std::min(want, _frontier.size());
+    while (_issued < batch_end) {
+        auto slot = std::make_shared<Pending>();
+        slot->perturb = std::move(_frontier.front());
+        slot->batchEnd = batch_end;
         _frontier.pop_front();
-        if (!inserted)
-            continue; // seed collision: drop (cannot happen in practice)
 
         ShardSpec spec;
         spec.name = "explore/" + std::to_string(_issued);
-        spec.seed = seed;
-        Pending *slot = &it->second;
+        spec.seed = _preset.tester.seed + 1 + _issued;
         spec.run = [this, slot, name = spec.name]() {
             ApuSystem sys(_base.system);
+            // Only the tester records: the frontier reads nothing else.
             TraceRecorder rec;
-            sys.attachTrace(rec);
+            sys.attachTesterTrace(rec);
 
             GpuTesterConfig run_cfg = _base.tester;
             run_cfg.record = nullptr;
@@ -147,10 +155,14 @@ ExploreSource::nextBatch()
             out.dir = std::make_unique<CoverageGrid>(
                 sys.directory().coverage());
 
-            std::lock_guard<std::mutex> lock(_mutex);
-            slot->events = rec.events();
+            for (const TraceEvent &ev : rec.events()) {
+                if (ev.kind == TraceEventKind::SyncAcquire ||
+                    ev.kind == TraceEventKind::SyncRelease)
+                    slot->markers.push_back(ev);
+            }
             return out;
         };
+        _pending.emplace(spec.seed, std::move(slot));
         batch.push_back(std::move(spec));
         ++_issued;
     }
@@ -165,13 +177,15 @@ ExploreSource::report(const ShardOutcome &outcome,
     auto it = _pending.find(outcome.seed);
     if (it == _pending.end())
         return;
+    const std::shared_ptr<Pending> slot = std::move(it->second);
+    _pending.erase(it);
     if (!outcome.result.passed)
         ++_failuresByClass[outcome.result.failureClass];
+    _reportedThrough = slot->batchEnd;
     // Frontier expansion happens here — in the adaptive loop's
     // index-ordered feedback stream — so the exploration order is
     // identical at any worker count.
-    expandFrontier(it->second.events, it->second.perturb);
-    _pending.erase(it);
+    expandFrontier(slot->markers, slot->perturb);
 }
 
 std::optional<GpuTestPreset>
@@ -188,7 +202,7 @@ ExploreSource::predictTriage() const
     triage.candidates = _predict.candidates;
     triage.confirmed = _predict.confirmedCount();
     triage.demoted = _predict.demotedCount();
-    triage.interleavings = _predict.replays + _issued;
+    triage.interleavings = _predict.replays + _reportedThrough;
     if (!_predict.races.empty()) {
         triage.firstPair = describeSite(_predict.races.front().first) +
                            " <-> " +

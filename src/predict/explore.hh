@@ -19,9 +19,16 @@
  * branching factor bounded.
  *
  * Everything is deterministic at any worker count: shard bodies only
- * replay (bit-exact) and stash their event streams in per-seed slots;
- * all frontier expansion happens in report(), which the adaptive loop
- * calls strictly in shard-index order. The source also runs the
+ * replay (bit-exact) and stash their sync markers — the tester's
+ * acquire/release completions, all the frontier reads — in per-shard
+ * slots; all frontier expansion happens in report(), which the
+ * adaptive loop calls strictly in shard-index order. Because the
+ * frontier is a FIFO that only report() appends to, the sequence of
+ * perturbations it yields does not depend on when they are taken:
+ * nextBatch() issues a batch while earlier shards still run whenever
+ * the frontier already holds all of it, and answers "not yet" (an
+ * empty batch) otherwise, so every batch is exactly the one a batch
+ * barrier would issue. The source also runs the
  * predictive pass (predict/predict.hh) on the base trace and publishes
  * its triage through ShardSource::predictTriage(), so explore campaign
  * JSON carries the predicted-race block.
@@ -33,7 +40,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <mutex>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -95,17 +102,23 @@ class ExploreSource : public ShardSource
     }
 
   private:
-    /** One scheduled (or executed) interleaving. */
+    /**
+     * One issued interleaving, shared by its shard body (which fills
+     * the markers) and _pending (which report() reads them from once
+     * the outcome arrived); nothing else touches it.
+     */
     struct Pending
     {
         SchedulePerturbation perturb;
-        std::vector<TraceEvent> events; ///< filled by the shard body
+        std::size_t batchEnd = 0; ///< _issued once its batch was issued
+        std::vector<TraceEvent> markers; ///< sync markers, shard body
     };
 
     /**
-     * Expand the frontier with the flips visible in @p events, composed
-     * onto @p parent. Called from the ctor (base trace) and report()
-     * (executed children) only — never from shard bodies.
+     * Expand the frontier with the flips visible in the sync markers
+     * of @p events, composed onto @p parent. Called from the ctor (base
+     * trace) and report() (executed children) only — never from shard
+     * bodies.
      */
     void expandFrontier(const std::vector<TraceEvent> &events,
                         const SchedulePerturbation &parent);
@@ -117,9 +130,12 @@ class ExploreSource : public ShardSource
 
     std::deque<SchedulePerturbation> _frontier;
     std::set<std::pair<std::uint64_t, std::uint64_t>> _sleep;
-    std::map<std::uint64_t, Pending> _pending; ///< by shard seed
-    std::mutex _mutex; ///< guards _pending's event slots during a batch
+    /** Issued, unreported interleavings by shard seed. */
+    std::map<std::uint64_t, std::shared_ptr<Pending>> _pending;
     std::size_t _issued = 0;
+    /** End of the last batch with a reported shard: the triage count,
+     *  which leaves out batches pulled ahead of a stop. */
+    std::size_t _reportedThrough = 0;
     std::map<FailureClass, std::size_t> _failuresByClass;
 };
 

@@ -106,6 +106,15 @@ class ApuSystem
      */
     void attachTrace(TraceRecorder &trace);
 
+    /**
+     * Attach a recorder that only the testers write to: episode and
+     * sync markers, no crossbar or controller events. For callers that
+     * read nothing else (schedule exploration), at a small fraction of
+     * attachTrace's recording cost; it equally never perturbs the
+     * simulation schedule.
+     */
+    void attachTesterTrace(TraceRecorder &trace) { _trace = &trace; }
+
     /** The attached recorder, or nullptr when not tracing. */
     TraceRecorder *trace() const { return _trace; }
 

@@ -5,8 +5,9 @@
  * three shard-source strategies, and the adaptive campaign loop's
  * determinism contract (same master seed => identical decision
  * sequence and union digest at any worker count) and scheduling
- * contract (feedback-free strategies stream, feedback-driven ones keep
- * the batch barrier, stops cut at the same batch boundary either way).
+ * contract (every source is pulled ahead while workers would idle, a
+ * source's empty answer keeps the batch barrier, stops cut at the same
+ * batch boundary either way).
  * The AggregateGoldens tests pin the aggregate bytes themselves.
  */
 
@@ -385,6 +386,26 @@ TEST(Guided, EpisodeBudgetBoundsTheCampaign)
     EXPECT_GE(res.totalEpisodes, 20u);
 }
 
+TEST(Guided, AnswersNotYetWhileItsBatchIsUnreported)
+{
+    GuidedSource source(tinySourceConfig(3, 8));
+    std::vector<ShardSpec> batch = source.nextBatch();
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_TRUE(source.nextBatch().empty());
+    EXPECT_EQ(source.decisions().size(), 1u) << "drew a decision early";
+    EXPECT_EQ(source.shardsIssued(), 2u);
+
+    ShardFeedback fb;
+    fb.episodes = 10;
+    for (ShardSpec &spec : batch) {
+        ShardOutcome out;
+        out.seed = spec.seed;
+        source.report(out, fb);
+    }
+    EXPECT_EQ(source.nextBatch().size(), 2u);
+    EXPECT_EQ(source.decisions().size(), 2u);
+}
+
 TEST(Guided, DecisionsJsonIsWellFormedArray)
 {
     GuidedSource source(tinySourceConfig(1, 6));
@@ -479,13 +500,19 @@ scriptedShard(std::size_t i, std::function<void()> body = [] {})
     return spec;
 }
 
-/** Replays fixed batches under any strategy label. */
+/**
+ * Replays fixed batches under any strategy label. With
+ * @p waits_for_reports it answers "not yet" (an empty batch) while any
+ * issued shard is unreported, as a feedback-driven source does.
+ */
 class ScriptedSource : public ShardSource
 {
   public:
     ScriptedSource(Strategy strategy,
-                   std::vector<std::vector<ShardSpec>> batches)
-        : _strategy(strategy), _batches(std::move(batches))
+                   std::vector<std::vector<ShardSpec>> batches,
+                   bool waits_for_reports = false)
+        : _strategy(strategy), _batches(std::move(batches)),
+          _waitsForReports(waits_for_reports)
     {
     }
 
@@ -494,22 +521,34 @@ class ScriptedSource : public ShardSource
     std::vector<ShardSpec>
     nextBatch() override
     {
-        if (_next == _batches.size())
+        if (_next == _batches.size() ||
+            (_waitsForReports && _reported != _issued))
             return {};
+        _issued += _batches[_next].size();
         return std::move(_batches[_next++]);
+    }
+
+    void
+    report(const ShardOutcome &, const ShardFeedback &) override
+    {
+        ++_reported;
     }
 
   private:
     Strategy _strategy;
     std::vector<std::vector<ShardSpec>> _batches;
+    bool _waitsForReports;
     std::size_t _next = 0;
+    std::size_t _issued = 0;
+    std::size_t _reported = 0;
 };
 
 /**
  * Decorates a source, forwarding only the ShardSource interface (as
  * perfbench's tracing decorator does), and records what the loop asked
- * of it: reported indices, pulls made while issued shards were still
- * unreported, and calls from any thread but the constructing one.
+ * of it: reported indices, non-empty pulls made while issued shards
+ * were still unreported, and calls from any thread but the
+ * constructing one.
  */
 class RecordingSource : public ShardSource
 {
@@ -522,9 +561,9 @@ class RecordingSource : public ShardSource
     nextBatch() override
     {
         noteThread();
-        if (issued != reported.size())
-            ++earlyPulls;
         std::vector<ShardSpec> batch = _inner.nextBatch();
+        if (!batch.empty() && issued != reported.size())
+            ++earlyPulls;
         issued += batch.size();
         return batch;
     }
@@ -602,9 +641,11 @@ TEST(AdaptiveCampaign, SweepStreamsPastAStraggler)
 
 TEST(AdaptiveCampaign, GuidedKeepsTheBatchBarrier)
 {
-    // The same shape under a feedback-driven label: batch 1 must not
-    // be pulled until batch 0 was reported, so the gate stays shut and
-    // batch 0's shard runs out its (short) guard.
+    // The same shape from a source that answers "not yet" until batch
+    // 0 was reported, as guided does: the barrier comes from that
+    // answer, not the label. Batch 1 cannot be pulled before batch 0
+    // drains, so the gate stays shut and batch 0's shard runs out its
+    // (short) guard.
     Gate gate;
     bool released = true;
     ScriptedSource script(
@@ -614,7 +655,8 @@ TEST(AdaptiveCampaign, GuidedKeepsTheBatchBarrier)
                             released = gate.waitOpen(
                                 std::chrono::milliseconds(200));
                         })},
-         {scriptedShard(1, [&] { gate.open(); })}});
+         {scriptedShard(1, [&] { gate.open(); })}},
+        /*waits_for_reports=*/true);
     RecordingSource source(script);
     AdaptiveCampaignConfig cfg;
     cfg.jobs = 2;
@@ -625,6 +667,43 @@ TEST(AdaptiveCampaign, GuidedKeepsTheBatchBarrier)
     EXPECT_EQ(res.rounds, 2u);
     EXPECT_EQ(source.reported, iota(2));
     EXPECT_FALSE(source.offThread);
+}
+
+TEST(BatchWindow, EmptyAnswerWhileUndrainedIsNotExhaustion)
+{
+    ScriptedSource script(Strategy::Explore,
+                          {{scriptedShard(0), scriptedShard(1)},
+                           {scriptedShard(2)}},
+                          /*waits_for_reports=*/true);
+    BatchWindow window(script);
+
+    ASSERT_TRUE(window.mayPull(0, 4));
+    EXPECT_EQ(window.pull().size(), 2u);
+    // Batch 0 is undrained: the empty answer means "not yet".
+    ASSERT_TRUE(window.mayPull(2, 4));
+    EXPECT_TRUE(window.pull().empty());
+    EXPECT_FALSE(window.empty());
+    EXPECT_FALSE(window.mayPull(0, 4)) << "asked again before a drain";
+    EXPECT_FALSE(window.capped());
+
+    // Drain batch 0: the source may be asked again, and now answers.
+    ShardOutcome out;
+    script.report(out, ShardFeedback{});
+    script.report(out, ShardFeedback{});
+    window.popFront();
+    ASSERT_TRUE(window.mayPull(0, 4));
+    EXPECT_EQ(window.pull().size(), 1u);
+    EXPECT_EQ(window.front().first, 2u);
+    EXPECT_EQ(window.end(), 3u);
+
+    // An empty answer with nothing undrained is exhaustion.
+    script.report(out, ShardFeedback{});
+    window.popFront();
+    ASSERT_TRUE(window.mayPull(0, 4));
+    EXPECT_TRUE(window.pull().empty());
+    EXPECT_TRUE(window.empty());
+    EXPECT_FALSE(window.mayPull(0, 4));
+    EXPECT_FALSE(window.capped());
 }
 
 TEST(AdaptiveCampaign, FeedbackFreeAggregatesAreJobsInvariant)

@@ -13,7 +13,10 @@
  * while every DEMOTED finding's witness prefix must still pass — the
  * pass never flags a replay-proven-ordered pair as confirmed. (3) The
  * explore strategy must be deterministic at any worker count and must
- * reach the reference ScopeViolation within its interleaving budget.
+ * reach the reference ScopeViolation within its interleaving budget;
+ * pulled ahead of its reports, it must still issue exactly the batches
+ * a batch barrier would, and its shards' tester-only recorders must
+ * capture the same markers a fully attached recorder does.
  */
 
 #include <gtest/gtest.h>
@@ -128,6 +131,71 @@ recordPassing(std::uint64_t seed, ScopeMode mode, unsigned episodes,
     }
     ADD_FAILURE() << "no passing recording in 32 seeds";
     return ReproTrace{};
+}
+
+/** Forwards an explore source and logs each non-empty batch it issued
+ *  as (name, seed) pairs, counting those pulled while shards were still
+ *  unreported. */
+class BatchLog : public ShardSource
+{
+  public:
+    explicit BatchLog(ShardSource &inner) : _inner(inner) {}
+
+    Strategy strategy() const override { return _inner.strategy(); }
+
+    std::vector<ShardSpec>
+    nextBatch() override
+    {
+        std::vector<ShardSpec> batch = _inner.nextBatch();
+        if (batch.empty())
+            return batch;
+        if (_issued != _reported)
+            ++earlyPulls;
+        _issued += batch.size();
+        batches.emplace_back();
+        for (const ShardSpec &spec : batch)
+            batches.back().emplace_back(spec.name, spec.seed);
+        return batch;
+    }
+
+    void
+    report(const ShardOutcome &outcome,
+           const ShardFeedback &feedback) override
+    {
+        ++_reported;
+        _inner.report(outcome, feedback);
+    }
+
+    std::optional<PredictTriage> predictTriage() const override
+    {
+        return _inner.predictTriage();
+    }
+
+    std::vector<std::vector<std::pair<std::string, std::uint64_t>>>
+        batches;
+    std::size_t earlyPulls = 0;
+
+  private:
+    ShardSource &_inner;
+    std::size_t _issued = 0;
+    std::size_t _reported = 0;
+};
+
+bool
+isTesterMarker(const TraceEvent &ev)
+{
+    return ev.kind == TraceEventKind::EpisodeIssue ||
+           ev.kind == TraceEventKind::EpisodeRetire ||
+           ev.kind == TraceEventKind::SyncAcquire ||
+           ev.kind == TraceEventKind::SyncRelease;
+}
+
+bool
+sameEvent(const TraceEvent &x, const TraceEvent &y)
+{
+    return x.tick == y.tick && x.a == y.a && x.b == y.b &&
+           x.src == y.src && x.dst == y.dst && x.kind == y.kind &&
+           x.u8 == y.u8 && x.u16 == y.u16 && x.u32 == y.u32;
 }
 
 } // namespace
@@ -393,4 +461,119 @@ TEST(Explore, DeterministicAcrossWorkerCountsAndFindsScopeViolation)
     EXPECT_NE(json.find("\"strategy\":\"explore\""), std::string::npos);
     EXPECT_NE(json.find("\"predicted_races\":{\"candidates\":"),
               std::string::npos);
+}
+
+TEST(Explore, PullAheadIssuesTheBarrierBatches)
+{
+    std::uint64_t base_seed = 0;
+    recordPassing(1, ScopeMode::Racy, 6, 8, &base_seed);
+
+    ExploreOptions opts;
+    opts.budget = 24;
+    opts.batchSize = 2;
+    opts.maxFlipsPerTrace = 12;
+
+    // At jobs 1 the loop pulls only with nothing running, which is the
+    // barrier schedule; at jobs 4 two-shard batches leave workers free,
+    // so batches are pulled while earlier ones still run.
+    std::vector<std::vector<std::pair<std::string, std::uint64_t>>>
+        batches[2];
+    std::string aggregates[2];
+    const unsigned jobs[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+        ExploreSource source(
+            racyPreset(base_seed, ScopeMode::Racy, 6, 8), opts);
+        BatchLog log(source);
+        AdaptiveCampaignConfig cfg;
+        cfg.jobs = jobs[i];
+        cfg.stopOnFailure = false;
+        AdaptiveCampaignResult res = runAdaptiveCampaign(log, cfg);
+        batches[i] = log.batches;
+        aggregates[i] = adaptiveAggregatesJson(res, "gpu_tester");
+        EXPECT_EQ(res.rounds, log.batches.size());
+        if (i == 0)
+            EXPECT_EQ(log.earlyPulls, 0u);
+        else
+            EXPECT_GE(log.earlyPulls, 1u) << "never pulled ahead";
+    }
+    ASSERT_GT(batches[0].size(), 2u);
+    EXPECT_EQ(batches[0], batches[1]);
+    EXPECT_EQ(aggregates[0], aggregates[1]);
+}
+
+TEST(Explore, StopOnFailureTriageIsJobsInvariant)
+{
+    std::uint64_t base_seed = 0;
+    recordPassing(1, ScopeMode::Racy, 6, 8, &base_seed);
+
+    ExploreOptions opts;
+    opts.budget = 64;
+    opts.batchSize = 2;
+    opts.maxFlipsPerTrace = 12;
+
+    // Batches pulled ahead of the failing one are discarded, and so
+    // must not count as explored interleavings.
+    AdaptiveCampaignResult results[2];
+    const unsigned jobs[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+        ExploreSource source(
+            racyPreset(base_seed, ScopeMode::Racy, 6, 8), opts);
+        AdaptiveCampaignConfig cfg;
+        cfg.jobs = jobs[i];
+        cfg.stopOnFailure = true;
+        results[i] = runAdaptiveCampaign(source, cfg);
+        ASSERT_TRUE(results[i].firstFailure.has_value());
+        ASSERT_TRUE(results[i].predictTriage.has_value());
+    }
+    EXPECT_EQ(results[0].firstFailure->seed, results[1].firstFailure->seed);
+    EXPECT_EQ(results[0].firstFailure->name, results[1].firstFailure->name);
+    EXPECT_EQ(results[0].rounds, results[1].rounds);
+    EXPECT_EQ(results[0].predictTriage->interleavings,
+              results[1].predictTriage->interleavings);
+}
+
+TEST(Explore, TesterOnlyRecorderHoldsTheFullTracesTesterMarkers)
+{
+    std::uint64_t base_seed = 0;
+    const ReproTrace base =
+        recordPassing(1, ScopeMode::Racy, 6, 8, &base_seed);
+    ASSERT_FALSE(base.schedule.episodes.empty());
+    SchedulePerturbation perturb;
+    perturb.add(base.schedule.episodes.front().id, 40);
+
+    // One perturbed replay, as an explore shard runs it.
+    auto replay = [&](bool tester_only, TraceRecorder &rec) {
+        ApuSystem sys(base.system);
+        if (tester_only)
+            sys.attachTesterTrace(rec);
+        else
+            sys.attachTrace(rec);
+        GpuTesterConfig cfg = base.tester;
+        cfg.replay = &base.schedule;
+        cfg.perturb = &perturb;
+        GpuTester tester(sys, cfg);
+        return tester.run();
+    };
+    TraceRecorder full_rec, tester_rec;
+    const TesterResult full = replay(false, full_rec);
+    const TesterResult tester_only = replay(true, tester_rec);
+
+    EXPECT_EQ(full.passed, tester_only.passed);
+    EXPECT_EQ(full.events, tester_only.events);
+    EXPECT_EQ(full.ticks, tester_only.ticks);
+    EXPECT_EQ(full.episodes, tester_only.episodes);
+
+    std::vector<TraceEvent> expected;
+    for (const TraceEvent &ev : full_rec.events()) {
+        if (isTesterMarker(ev))
+            expected.push_back(ev);
+    }
+    ASSERT_LT(expected.size(), full_rec.events().size());
+    const std::vector<TraceEvent> &got = tester_rec.events();
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_TRUE(sameEvent(got[i], expected[i])) << "event " << i;
+    EXPECT_TRUE(std::any_of(got.begin(), got.end(), [](const TraceEvent &e) {
+        return e.kind == TraceEventKind::SyncAcquire;
+    }));
 }
