@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 namespace drf
 {
@@ -10,21 +9,51 @@ namespace drf
 namespace
 {
 
-/** Dependent episodes: flipping their order can change the outcome. */
-bool
-dependent(const Episode &a, const Episode &b)
+/**
+ * Run @p cfg on a fresh @p sys_cfg system with only the tester
+ * recording, and append the run's SyncAcquire/SyncRelease markers (all
+ * that HbModel and the frontier read) to @p markers. Recording never
+ * perturbs the run. When @p out is given it takes the coverage grids.
+ */
+TesterResult
+runKeepingSyncMarkers(const ApuSystemConfig &sys_cfg,
+                      const GpuTesterConfig &cfg,
+                      std::vector<TraceEvent> &markers,
+                      ShardOutcome *out = nullptr)
 {
-    if (a.syncVar == b.syncVar)
-        return true;
-    for (const Episode::WriteEntry &w : a.writes) {
-        if (b.writesVar(w.var) || b.readsVar(w.var))
-            return true;
+    ApuSystem sys(sys_cfg);
+    TraceRecorder rec;
+    sys.attachTesterTrace(rec);
+    GpuTester tester(sys, cfg);
+    TesterResult result = tester.run();
+    if (out != nullptr) {
+        out->l1 = std::make_unique<CoverageGrid>(sys.l1CoverageUnion());
+        out->l2 = std::make_unique<CoverageGrid>(sys.l2CoverageUnion());
+        out->dir =
+            std::make_unique<CoverageGrid>(sys.directory().coverage());
     }
-    for (const Episode::WriteEntry &w : b.writes) {
-        if (a.readsVar(w.var))
-            return true;
+    for (const TraceEvent &ev : rec.events()) {
+        if (ev.kind == TraceEventKind::SyncAcquire ||
+            ev.kind == TraceEventKind::SyncRelease)
+            markers.push_back(ev);
     }
-    return false;
+    return result;
+}
+
+/** recordGpuRun(preset) with the sync markers as its only events. */
+ReproTrace
+recordBase(const GpuTestPreset &preset)
+{
+    ReproTrace base;
+    base.presetName = preset.name;
+    base.system = preset.system;
+    base.tester = preset.tester;
+    base.tester.record = nullptr;
+    base.tester.replay = nullptr;
+    GpuTesterConfig cfg = base.tester;
+    cfg.record = &base.schedule;
+    base.result = runKeepingSyncMarkers(base.system, cfg, base.events);
+    return base;
 }
 
 std::string
@@ -38,13 +67,58 @@ describeSite(const AccessSite &s)
 
 } // namespace
 
+DependenceIndex::DependenceIndex(const EpisodeSchedule &schedule)
+{
+    const std::size_t n = schedule.size();
+    VarId max_var = 0;
+    _index.reserve(n);
+    _syncVar.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const Episode &e = schedule.episodes[i];
+        _index.emplace(e.id, i);
+        _syncVar.push_back(e.syncVar);
+        for (const Episode::WriteEntry &w : e.writes)
+            max_var = std::max(max_var, w.var);
+        for (VarId v : e.reads)
+            max_var = std::max(max_var, v);
+    }
+    _words = std::size_t(max_var) / 64 + 1;
+    _writes.assign(n * _words, 0);
+    _reads.assign(n * _words, 0);
+    auto set = [this](std::vector<std::uint64_t> &bits, std::size_t i,
+                      VarId v) {
+        bits[i * _words + v / 64] |= std::uint64_t(1) << (v % 64);
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+        const Episode &e = schedule.episodes[i];
+        for (const Episode::WriteEntry &w : e.writes)
+            set(_writes, i, w.var);
+        for (VarId v : e.reads)
+            set(_reads, i, v);
+    }
+}
+
+bool
+DependenceIndex::dependent(std::size_t a, std::size_t b) const
+{
+    if (_syncVar[a] == _syncVar[b])
+        return true;
+    const std::uint64_t *wa = &_writes[a * _words];
+    const std::uint64_t *ra = &_reads[a * _words];
+    const std::uint64_t *wb = &_writes[b * _words];
+    const std::uint64_t *rb = &_reads[b * _words];
+    for (std::size_t k = 0; k < _words; ++k) {
+        if ((wa[k] & (wb[k] | rb[k])) | (wb[k] & ra[k]))
+            return true;
+    }
+    return false;
+}
+
 ExploreSource::ExploreSource(const GpuTestPreset &preset,
                              const ExploreOptions &opts)
-    : _preset(preset), _opts(opts)
+    : _preset(preset), _opts(opts), _base(recordBase(preset)),
+      _deps(_base.schedule)
 {
-    RecordOptions rec;
-    rec.captureEvents = true;
-    _base = recordGpuRun(preset, rec);
     if (_opts.runPredict)
         _predict = predictRaces(_base, _opts.predict);
     expandFrontier(_base.events, SchedulePerturbation{});
@@ -54,27 +128,26 @@ void
 ExploreSource::expandFrontier(const std::vector<TraceEvent> &events,
                               const SchedulePerturbation &parent)
 {
-    // Index the base schedule by episode id (ids survive subsetting and
-    // perturbation; the schedule itself never changes).
-    std::unordered_map<std::uint64_t, const Episode *> by_id;
-    by_id.reserve(_base.schedule.size());
-    for (const Episode &e : _base.schedule.episodes)
-        by_id.emplace(e.id, &e);
-
-    // Observed acquire order and per-episode sync ticks.
+    // Observed acquire order (schedule indices; ids survive subsetting
+    // and perturbation, and the schedule itself never changes) and
+    // per-episode sync ticks. An id the schedule lacks stays in the
+    // order as npos: it still separates its neighbours.
     struct Ticks
     {
         Tick acq = 0;
         Tick rel = 0;
     };
-    std::unordered_map<std::uint64_t, Ticks> ticks;
-    std::vector<std::uint64_t> acquire_order;
+    const std::size_t npos = DependenceIndex::npos;
+    std::vector<Ticks> ticks(_base.schedule.size());
+    std::vector<std::size_t> acquire_order;
     for (const TraceEvent &ev : events) {
+        const std::size_t idx = _deps.indexOf(ev.a);
         if (ev.kind == TraceEventKind::SyncAcquire) {
-            ticks[ev.a].acq = ev.tick;
-            acquire_order.push_back(ev.a);
-        } else if (ev.kind == TraceEventKind::SyncRelease) {
-            ticks[ev.a].rel = ev.tick;
+            if (idx != npos)
+                ticks[idx].acq = ev.tick;
+            acquire_order.push_back(idx);
+        } else if (ev.kind == TraceEventKind::SyncRelease && idx != npos) {
+            ticks[idx].rel = ev.tick;
         }
     }
 
@@ -82,29 +155,30 @@ ExploreSource::expandFrontier(const std::vector<TraceEvent> &events,
     for (std::size_t k = 0;
          k + 1 < acquire_order.size() && flips < _opts.maxFlipsPerTrace;
          ++k) {
-        const std::uint64_t id1 = acquire_order[k];
-        const std::uint64_t id2 = acquire_order[k + 1];
-        auto e1 = by_id.find(id1), e2 = by_id.find(id2);
-        if (e1 == by_id.end() || e2 == by_id.end())
+        const std::size_t i1 = acquire_order[k];
+        const std::size_t i2 = acquire_order[k + 1];
+        if (i1 == npos || i2 == npos)
             continue;
-        if (e1->second->wavefrontId == e2->second->wavefrontId)
+        const Episode &e1 = _base.schedule.episodes[i1];
+        const Episode &e2 = _base.schedule.episodes[i2];
+        if (e1.wavefrontId == e2.wavefrontId)
             continue;
-        if (!dependent(*e1->second, *e2->second))
+        if (!_deps.dependent(i1, i2))
             continue;
-        if (!_sleep.insert({id1, id2}).second)
+        if (!_sleep.insert({e1.id, e2.id}).second)
             continue;
 
         // Delay the earlier acquire past the later one, landing in the
         // middle of the later episode's span so the flip actually
         // overlaps (not merely reorders) the dependent work.
-        const Ticks t1 = ticks[id1], t2 = ticks[id2];
+        const Ticks t1 = ticks[i1], t2 = ticks[i2];
         if (t2.acq <= t1.acq)
             continue;
         const Tick span = t2.rel > t2.acq ? t2.rel - t2.acq : 0;
         const Tick delay = (t2.acq - t1.acq) + span / 2 + 1;
 
         SchedulePerturbation child = parent;
-        child.add(id1, delay);
+        child.add(e1.id, delay);
         _frontier.push_back(std::move(child));
         ++flips;
     }
@@ -134,32 +208,13 @@ ExploreSource::nextBatch()
         spec.name = "explore/" + std::to_string(_issued);
         spec.seed = _preset.tester.seed + 1 + _issued;
         spec.run = [this, slot, name = spec.name]() {
-            ApuSystem sys(_base.system);
-            // Only the tester records: the frontier reads nothing else.
-            TraceRecorder rec;
-            sys.attachTesterTrace(rec);
-
-            GpuTesterConfig run_cfg = _base.tester;
-            run_cfg.record = nullptr;
-            run_cfg.replay = &_base.schedule;
-            run_cfg.perturb = &slot->perturb;
-            GpuTester tester(sys, run_cfg);
-
+            GpuTesterConfig cfg = _base.tester;
+            cfg.replay = &_base.schedule;
+            cfg.perturb = &slot->perturb;
             ShardOutcome out;
             out.name = name;
-            out.result = tester.run();
-            out.l1 =
-                std::make_unique<CoverageGrid>(sys.l1CoverageUnion());
-            out.l2 =
-                std::make_unique<CoverageGrid>(sys.l2CoverageUnion());
-            out.dir = std::make_unique<CoverageGrid>(
-                sys.directory().coverage());
-
-            for (const TraceEvent &ev : rec.events()) {
-                if (ev.kind == TraceEventKind::SyncAcquire ||
-                    ev.kind == TraceEventKind::SyncRelease)
-                    slot->markers.push_back(ev);
-            }
+            out.result = runKeepingSyncMarkers(_base.system, cfg,
+                                               slot->markers, &out);
             return out;
         };
         _pending.emplace(spec.seed, std::move(slot));

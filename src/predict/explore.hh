@@ -3,7 +3,8 @@
  * Bounded stateless model checking: the `explore` campaign strategy.
  *
  * Where random/sweep/guided vary the *configuration*, ExploreSource
- * varies the *schedule*: it records one base run of a single preset,
+ * varies the *schedule*: it records one base run of a single preset
+ * (its episode schedule plus the tester's sync markers, nothing else),
  * then systematically re-executes the same episode schedule under
  * issue-delay perturbations (trace/schedule.hh) that flip the order of
  * dependent synchronization operations — a DPOR-flavored walk over the
@@ -16,7 +17,9 @@
  * perturbation that delays the earlier episode past the later one's
  * acquire. A sleep set of already-scheduled flips (keyed by the episode
  * pair) prunes re-exploration, and a per-trace flip cap keeps the
- * branching factor bounded.
+ * branching factor bounded. Dependence is tested on per-episode
+ * variable bitsets built once from the base schedule
+ * (DependenceIndex), so report() never scans an episode's accesses.
  *
  * Everything is deterministic at any worker count: shard bodies only
  * replay (bit-exact) and stash their sync markers — the tester's
@@ -42,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -67,6 +71,43 @@ struct ExploreOptions
     bool runPredict = true;
 };
 
+/**
+ * One schedule indexed for frontier expansion, built once: episode id to
+ * schedule index, and each episode's written and read variables as
+ * bitsets over VarId, so a dependence test is a few word-wise ANDs
+ * instead of scans of two episodes' access lists.
+ */
+class DependenceIndex
+{
+  public:
+    /** indexOf() of an id the schedule does not hold. */
+    static constexpr std::size_t npos = std::size_t(-1);
+
+    explicit DependenceIndex(const EpisodeSchedule &schedule);
+
+    /** Schedule index of episode @p id (its first occurrence), or npos. */
+    std::size_t
+    indexOf(std::uint64_t id) const
+    {
+        auto it = _index.find(id);
+        return it == _index.end() ? npos : it->second;
+    }
+
+    /**
+     * Schedule episodes @p a and @p b are dependent, so flipping their
+     * order can change the outcome: they contend on the same sync
+     * variable, or one writes a variable the other reads or writes.
+     */
+    bool dependent(std::size_t a, std::size_t b) const;
+
+  private:
+    std::unordered_map<std::uint64_t, std::size_t> _index;
+    std::vector<VarId> _syncVar;       ///< by schedule index
+    std::size_t _words = 0;            ///< bitset words per episode
+    std::vector<std::uint64_t> _writes; ///< _words per episode
+    std::vector<std::uint64_t> _reads;  ///< _words per episode
+};
+
 /** Schedule-exploration shard source (see file header). */
 class ExploreSource : public ShardSource
 {
@@ -84,8 +125,18 @@ class ExploreSource : public ShardSource
 
     std::optional<PredictTriage> predictTriage() const override;
 
-    /** The recorded base trace the exploration perturbs. */
+    /**
+     * The recorded base run the exploration perturbs. Its events hold
+     * the run's SyncAcquire/SyncRelease markers only: all that the
+     * happens-before model and the frontier read.
+     */
     const ReproTrace &baseTrace() const { return _base; }
+
+    /** Perturbations not yet issued, in the order they will be. */
+    const std::deque<SchedulePerturbation> &frontier() const
+    {
+        return _frontier;
+    }
 
     /** Interleavings issued as shards so far. */
     std::size_t issued() const { return _issued; }
@@ -126,6 +177,7 @@ class ExploreSource : public ShardSource
     GpuTestPreset _preset;
     ExploreOptions _opts;
     ReproTrace _base;
+    DependenceIndex _deps; ///< over _base.schedule
     PredictReport _predict;
 
     std::deque<SchedulePerturbation> _frontier;

@@ -1,8 +1,6 @@
 #include "predict/predict.hh"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <utility>
 
 #include "campaign/campaign_json.hh"
@@ -13,11 +11,13 @@ namespace drf
 namespace
 {
 
-/** All accesses to one variable, in schedule order. */
-struct VarAccess
+/** The episodes accessing one variable, by schedule index, in
+ *  schedule order. An episode that writes the variable is a writer
+ *  only. */
+struct VarAccesses
 {
-    std::size_t idx;  ///< schedule index
-    bool isWrite;
+    std::vector<std::size_t> writes;
+    std::vector<std::size_t> reads;
 };
 
 AccessSite
@@ -161,56 +161,75 @@ predictRaces(const ReproTrace &trace, const PredictOptions &opts)
     report.orderSource = model.orderSource();
     report.eventsAnalyzed = model.eventsAnalyzed();
 
-    // Group accesses by variable, in schedule order.
-    std::map<VarId, std::vector<VarAccess>> by_var;
-    for (std::size_t i = 0; i < trace.schedule.size(); ++i) {
+    // Group accesses by variable, indexed by VarId so the pairs below
+    // are visited in VarId order; each list is in schedule order.
+    const std::size_t n = trace.schedule.size();
+    std::vector<VarAccesses> by_var;
+    auto accesses_of = [&by_var](VarId v) -> VarAccesses & {
+        if (v >= by_var.size())
+            by_var.resize(std::size_t(v) + 1);
+        return by_var[v];
+    };
+    for (std::size_t i = 0; i < n; ++i) {
         const Episode &e = trace.schedule.episodes[i];
         for (const Episode::WriteEntry &w : e.writes)
-            by_var[w.var].push_back(VarAccess{i, true});
+            accesses_of(w.var).writes.push_back(i);
         for (VarId v : e.reads) {
             // A lane re-reading its own store is one access site, not
             // a conflict with itself.
-            if (!e.writesVar(v))
-                by_var[v].push_back(VarAccess{i, false});
+            VarAccesses &acc = accesses_of(v);
+            if (acc.writes.empty() || acc.writes.back() != i)
+                acc.reads.push_back(i);
         }
     }
 
-    // Enumerate conflicting pairs; each episode pair is checked once
-    // (on its first conflicting variable in VarId order).
-    std::set<std::pair<std::size_t, std::size_t>> seen;
+    // Enumerate conflicting pairs (a write and a write or read); each
+    // episode pair is checked once, on its first conflicting variable
+    // in VarId order. seen is an n x n bitmap over (lower, higher)
+    // schedule index.
+    std::vector<bool> seen(n * n, false);
+    auto first_visit = [&](std::size_t x, std::size_t y) {
+        if (model.agentOf(x) == model.agentOf(y))
+            return false;
+        const std::size_t key = x < y ? x * n + y : y * n + x;
+        if (seen[key])
+            return false;
+        seen[key] = true;
+        return true;
+    };
     std::vector<PredictedRace> found;
-    for (const auto &[var, accesses] : by_var) {
-        for (std::size_t p = 0; p < accesses.size(); ++p) {
-            for (std::size_t q = p + 1; q < accesses.size(); ++q) {
-                const VarAccess &x = accesses[p];
-                const VarAccess &y = accesses[q];
-                if (!x.isWrite && !y.isWrite)
-                    continue;
-                if (model.agentOf(x.idx) == model.agentOf(y.idx))
-                    continue;
-                auto key = std::minmax(x.idx, y.idx);
-                if (!seen.insert({key.first, key.second}).second)
-                    continue;
-                ++report.pairsChecked;
-                if (model.ordered(x.idx, y.idx))
-                    continue;
-                ++report.candidates;
-                // Observed sync order decides which side the witness
-                // perturbation delays.
-                bool x_first =
-                    model.sync(x.idx).acqTick != model.sync(y.idx).acqTick
-                        ? model.sync(x.idx).acqTick <
-                              model.sync(y.idx).acqTick
-                        : x.idx < y.idx;
-                const VarAccess &a = x_first ? x : y;
-                const VarAccess &b = x_first ? y : x;
-                PredictedRace race;
-                race.first = makeSite(trace, model, a.idx, var, a.isWrite);
-                race.second =
-                    makeSite(trace, model, b.idx, var, b.isWrite);
-                race.syncPath =
-                    model.explainUnordered(a.idx, b.idx, trace);
-                found.push_back(std::move(race));
+    auto check = [&](VarId var, std::size_t x, bool x_write, std::size_t y,
+                     bool y_write) {
+        ++report.pairsChecked;
+        if (model.ordered(x, y))
+            return;
+        ++report.candidates;
+        // Observed sync order decides which side the witness
+        // perturbation delays.
+        const Tick acq_x = model.sync(x).acqTick;
+        const Tick acq_y = model.sync(y).acqTick;
+        if (acq_x != acq_y ? acq_y < acq_x : y < x) {
+            std::swap(x, y);
+            std::swap(x_write, y_write);
+        }
+        PredictedRace race;
+        race.first = makeSite(trace, model, x, var, x_write);
+        race.second = makeSite(trace, model, y, var, y_write);
+        race.syncPath = model.explainUnordered(x, y, trace);
+        found.push_back(std::move(race));
+    };
+    for (std::size_t v = 0; v < by_var.size(); ++v) {
+        const VarId var = VarId(v);
+        const VarAccesses &acc = by_var[v];
+        for (std::size_t p = 0; p < acc.writes.size(); ++p) {
+            const std::size_t w = acc.writes[p];
+            for (std::size_t q = p + 1; q < acc.writes.size(); ++q) {
+                if (first_visit(w, acc.writes[q]))
+                    check(var, w, true, acc.writes[q], true);
+            }
+            for (std::size_t r : acc.reads) {
+                if (first_visit(w, r))
+                    check(var, w, true, r, false);
             }
         }
     }

@@ -83,7 +83,9 @@ struct PredictOptions
 struct PredictReport
 {
     HbOrderSource orderSource = HbOrderSource::ScheduleOrder;
-    std::size_t eventsAnalyzed = 0; ///< trace events consumed by the HB build
+    /** Trace events consumed by the HB build. An explore base run
+     *  keeps only its sync markers, so there it counts markers. */
+    std::size_t eventsAnalyzed = 0;
     std::size_t pairsChecked = 0;   ///< conflicting pairs tested for order
     std::size_t candidates = 0;     ///< HB-unordered pairs found (pre-cap)
     std::size_t replays = 0;        ///< witness replays executed

@@ -16,15 +16,20 @@
  * reach the reference ScopeViolation within its interleaving budget;
  * pulled ahead of its reports, it must still issue exactly the batches
  * a batch barrier would, and its shards' tester-only recorders must
- * capture the same markers a fully attached recorder does.
+ * capture the same markers a fully attached recorder does. Its
+ * marker-only base run must yield the report and frontier a fully
+ * recorded one does, and its dependence bitsets the verdicts of the
+ * episode scan they replaced. PredictGoldens pins the report bytes.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "golden_digest.hh"
 #include "guidance/adaptive_campaign.hh"
 #include "predict/explore.hh"
 #include "predict/hb.hh"
@@ -191,11 +196,93 @@ isTesterMarker(const TraceEvent &ev)
 }
 
 bool
+isSyncMarker(const TraceEvent &ev)
+{
+    return ev.kind == TraceEventKind::SyncAcquire ||
+           ev.kind == TraceEventKind::SyncRelease;
+}
+
+bool
 sameEvent(const TraceEvent &x, const TraceEvent &y)
 {
     return x.tick == y.tick && x.a == y.a && x.b == y.b &&
            x.src == y.src && x.dst == y.dst && x.kind == y.kind &&
            x.u8 == y.u8 && x.u16 == y.u16 && x.u32 == y.u32;
+}
+
+/**
+ * The reference dependence test: the scan over both episodes' access
+ * lists that DependenceIndex's bitsets replaced.
+ */
+bool
+scanDependent(const Episode &a, const Episode &b)
+{
+    if (a.syncVar == b.syncVar)
+        return true;
+    for (const Episode::WriteEntry &w : a.writes) {
+        if (b.writesVar(w.var) || b.readsVar(w.var))
+            return true;
+    }
+    for (const Episode::WriteEntry &w : b.writes) {
+        if (a.readsVar(w.var))
+            return true;
+    }
+    return false;
+}
+
+/**
+ * The perturbations ExploreSource derives from a base run with
+ * @p trace's sync markers, by the episode-scan reference: one per
+ * adjacent acquire pair of different wavefronts that are dependent,
+ * delaying the earlier past the middle of the later one's span.
+ */
+std::vector<SchedulePerturbation>
+referenceFrontier(const ReproTrace &trace, std::size_t max_flips)
+{
+    std::map<std::uint64_t, const Episode *> by_id;
+    for (const Episode &e : trace.schedule.episodes)
+        by_id.emplace(e.id, &e);
+    std::map<std::uint64_t, std::pair<Tick, Tick>> ticks; // acq, rel
+    std::vector<std::uint64_t> order;
+    for (const TraceEvent &ev : trace.events) {
+        if (ev.kind == TraceEventKind::SyncAcquire) {
+            ticks[ev.a].first = ev.tick;
+            order.push_back(ev.a);
+        } else if (ev.kind == TraceEventKind::SyncRelease) {
+            ticks[ev.a].second = ev.tick;
+        }
+    }
+    std::vector<SchedulePerturbation> frontier;
+    for (std::size_t k = 0;
+         k + 1 < order.size() && frontier.size() < max_flips; ++k) {
+        const Episode &e1 = *by_id.at(order[k]);
+        const Episode &e2 = *by_id.at(order[k + 1]);
+        if (e1.wavefrontId == e2.wavefrontId || !scanDependent(e1, e2))
+            continue;
+        const Tick acq1 = ticks[e1.id].first;
+        const auto [acq2, rel2] = ticks[e2.id];
+        if (acq2 <= acq1)
+            continue;
+        const Tick span = rel2 > acq2 ? rel2 - acq2 : 0;
+        SchedulePerturbation child;
+        child.add(e1.id, (acq2 - acq1) + span / 2 + 1);
+        frontier.push_back(std::move(child));
+    }
+    return frontier;
+}
+
+bool
+samePerturbation(const SchedulePerturbation &x,
+                 const SchedulePerturbation &y)
+{
+    if (x.delays.size() != y.delays.size())
+        return false;
+    for (std::size_t i = 0; i < x.delays.size(); ++i) {
+        if (x.delays[i].episodeId != y.delays[i].episodeId ||
+            x.delays[i].ticks != y.delays[i].ticks)
+            return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -409,6 +496,57 @@ TEST(Predict, ReportJsonCarriesVerdicts)
 }
 
 // ---------------------------------------------------------------------
+// Predict goldens: the report bytes (pair counts, race list, verdicts)
+// pinned per scope mode (DRF_PRINT_GOLDENS=1 prints the actual values)
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Digest of the predictive report on the first passing @p mode run
+ *  recorded from @p seed upward (8 episodes/WF, 12 actions). */
+std::uint64_t
+predictDigest(ScopeMode mode, std::uint64_t seed)
+{
+    const ReproTrace trace = recordPassing(seed, mode, 8, 12);
+    return drf::testing::Digest()
+        .str(predictReportJson(trace, predictRaces(trace)))
+        .value();
+}
+
+} // namespace
+
+TEST(PredictGoldens, Unscoped)
+{
+    drf::testing::checkGolden("Unscoped/seed1",
+                              predictDigest(ScopeMode::None, 1),
+                              0xd138e6efc6bea045ull);
+    drf::testing::checkGolden("Unscoped/seed2",
+                              predictDigest(ScopeMode::None, 2),
+                              0x00b4bd1085c5fbfaull);
+}
+
+TEST(PredictGoldens, Scoped)
+{
+    drf::testing::checkGolden("Scoped/seed1",
+                              predictDigest(ScopeMode::Scoped, 1),
+                              0x299026c5d17004daull);
+    drf::testing::checkGolden("Scoped/seed2",
+                              predictDigest(ScopeMode::Scoped, 2),
+                              0xe14c6df6d9552851ull);
+}
+
+TEST(PredictGoldens, Racy)
+{
+    drf::testing::checkGolden("Racy/seed1",
+                              predictDigest(ScopeMode::Racy, 1),
+                              0x3155412536c61ca9ull);
+    drf::testing::checkGolden("Racy/seed9",
+                              predictDigest(ScopeMode::Racy, 9),
+                              0xd8af42ff71529b06ull);
+}
+
+// ---------------------------------------------------------------------
 // Explore strategy: determinism and reachability
 // ---------------------------------------------------------------------
 
@@ -576,4 +714,110 @@ TEST(Explore, TesterOnlyRecorderHoldsTheFullTracesTesterMarkers)
     EXPECT_TRUE(std::any_of(got.begin(), got.end(), [](const TraceEvent &e) {
         return e.kind == TraceEventKind::SyncAcquire;
     }));
+}
+
+TEST(Explore, DependenceBitsetsMatchTheEpisodeScan)
+{
+    // An unscoped and a racy base schedule; both draw their acquires
+    // and releases from 10 shared atomic sync variables.
+    for (ScopeMode mode : {ScopeMode::None, ScopeMode::Racy}) {
+        SCOPED_TRACE(scopeModeName(mode));
+        const ReproTrace base = recordPassing(1, mode, 6, 8);
+        const std::vector<Episode> &eps = base.schedule.episodes;
+        ASSERT_GT(eps.size(), 1u);
+        const DependenceIndex deps(base.schedule);
+
+        std::size_t by_sync = 0, by_data = 0, independent = 0;
+        for (std::size_t a = 0; a < eps.size(); ++a) {
+            EXPECT_EQ(deps.indexOf(eps[a].id), a);
+            for (std::size_t b = 0; b < eps.size(); ++b) {
+                const bool want = scanDependent(eps[a], eps[b]);
+                ASSERT_EQ(deps.dependent(a, b), want)
+                    << "episodes " << eps[a].id << " and " << eps[b].id;
+                if (!want)
+                    ++independent;
+                else if (eps[a].syncVar == eps[b].syncVar)
+                    ++by_sync;
+                else
+                    ++by_data;
+            }
+        }
+        // Every branch of the verdict is exercised.
+        EXPECT_GT(by_sync, eps.size());
+        EXPECT_GT(by_data, 0u);
+        EXPECT_GT(independent, 0u);
+        EXPECT_EQ(deps.indexOf(~std::uint64_t(0)), DependenceIndex::npos);
+    }
+}
+
+TEST(Explore, MarkerOnlyBaseKeepsTheReportAndFrontier)
+{
+    std::uint64_t base_seed = 0;
+    recordPassing(1, ScopeMode::Racy, 6, 8, &base_seed);
+    const GpuTestPreset preset =
+        racyPreset(base_seed, ScopeMode::Racy, 6, 8);
+    RecordOptions rec;
+    rec.captureEvents = true;
+    const ReproTrace full = recordGpuRun(preset, rec);
+
+    ExploreOptions opts;
+    opts.batchSize = 2;
+    opts.maxFlipsPerTrace = 12;
+    ExploreSource source(preset, opts);
+    const ReproTrace &base = source.baseTrace();
+
+    // The same run, whose events are the full trace's sync markers and
+    // nothing else.
+    EXPECT_EQ(base.presetName, full.presetName);
+    EXPECT_TRUE(base.result.passed);
+    EXPECT_EQ(base.result.ticks, full.result.ticks);
+    EXPECT_EQ(base.result.events, full.result.events);
+    ASSERT_EQ(base.schedule.size(), full.schedule.size());
+    for (std::size_t i = 0; i < base.schedule.size(); ++i)
+        EXPECT_EQ(base.schedule.episodes[i].id,
+                  full.schedule.episodes[i].id);
+    std::vector<TraceEvent> markers;
+    for (const TraceEvent &ev : full.events) {
+        if (isSyncMarker(ev))
+            markers.push_back(ev);
+    }
+    ASSERT_LT(markers.size(), full.events.size());
+    ASSERT_EQ(base.events.size(), markers.size());
+    for (std::size_t i = 0; i < markers.size(); ++i)
+        ASSERT_TRUE(sameEvent(base.events[i], markers[i])) << "event " << i;
+
+    // The triage is the full-capture pass's, and so is the whole report
+    // but for the number of events the HB build consumed.
+    PredictReport want = predictRaces(full, opts.predict);
+    PredictReport got = predictRaces(base, opts.predict);
+    ASSERT_TRUE(source.predictTriage().has_value());
+    const PredictTriage triage = *source.predictTriage();
+    EXPECT_GT(want.candidates, 0u);
+    EXPECT_EQ(triage.candidates, want.candidates);
+    EXPECT_EQ(triage.confirmed, want.confirmedCount());
+    EXPECT_EQ(triage.demoted, want.demotedCount());
+    EXPECT_EQ(triage.interleavings, want.replays);
+    ASSERT_FALSE(want.races.empty());
+    EXPECT_EQ(triage.firstPair.find(
+                  "episode " +
+                  std::to_string(want.races.front().first.episodeId) +
+                  " "),
+              0u);
+    EXPECT_EQ(got.eventsAnalyzed, markers.size());
+    got.eventsAnalyzed = want.eventsAnalyzed = 0;
+    EXPECT_EQ(predictReportJson(full, got), predictReportJson(full, want));
+
+    // The frontier, and so the first batch, is the one the full trace's
+    // markers give under the episode-scan dependence test.
+    const std::vector<SchedulePerturbation> frontier =
+        referenceFrontier(full, opts.maxFlipsPerTrace);
+    ASSERT_GT(frontier.size(), opts.batchSize);
+    ASSERT_EQ(source.frontier().size(), frontier.size());
+    for (std::size_t i = 0; i < frontier.size(); ++i)
+        EXPECT_TRUE(samePerturbation(source.frontier()[i], frontier[i]))
+            << "perturbation " << i;
+    EXPECT_EQ(source.nextBatch().size(), opts.batchSize);
+    ASSERT_EQ(source.frontier().size(), frontier.size() - opts.batchSize);
+    EXPECT_TRUE(samePerturbation(source.frontier().front(),
+                                 frontier[opts.batchSize]));
 }
