@@ -42,8 +42,8 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "campaign/campaign.hh"
 #include "campaign/campaign_json.hh"
+#include "guidance/adaptive_campaign.hh"
 #include "guidance/genome.hh"
 #include "mem/scope.hh"
 #include "sim/event_queue.hh"

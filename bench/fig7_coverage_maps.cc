@@ -17,7 +17,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "campaign/campaign.hh"
+#include "guidance/adaptive_campaign.hh"
 
 using namespace drf;
 using namespace drf::bench;

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "campaign/campaign.hh"
+#include "guidance/adaptive_campaign.hh"
 
 using namespace drf;
 using namespace drf::bench;

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "campaign/campaign.hh"
+#include "guidance/adaptive_campaign.hh"
 #include "system/apu_system.hh"
 #include "tester/configs.hh"
 #include "tester/gpu_tester.hh"

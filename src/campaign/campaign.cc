@@ -1,10 +1,5 @@
 #include "campaign/campaign.hh"
 
-#include <algorithm>
-#include <chrono>
-#include <exception>
-
-#include "campaign/thread_pool.hh"
 #include "system/apu_system.hh"
 #include "tester/cpu_tester.hh"
 
@@ -13,14 +8,6 @@ namespace drf
 
 namespace
 {
-
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 std::unique_ptr<CoverageGrid>
 cloneGrid(const std::unique_ptr<CoverageGrid> &grid)
@@ -51,44 +38,28 @@ ShardMerge::ShardMerge(const CampaignConfig &cfg,
     _result.shardsPlanned = shards_planned;
 }
 
+bool
+stopsCampaign(const CampaignConfig &cfg, FailureClass c)
+{
+    return isHostFailureClass(c) ? cfg.stopOnHostFailure
+                                 : cfg.stopOnFailure;
+}
+
 void
 ShardMerge::setJobs(unsigned jobs)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     _result.jobs = jobs;
-}
-
-bool
-ShardMerge::stopRequested() const
-{
-    return _stop.load(std::memory_order_acquire);
-}
-
-void
-ShardMerge::requestStop()
-{
-    _stop.store(true, std::memory_order_release);
 }
 
 void
 ShardMerge::markInterrupted()
 {
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        _result.interrupted = true;
-    }
-    requestStop();
-}
-
-void
-ShardMerge::addSkipped(std::size_t count)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _result.shardsSkipped += count;
+    _result.interrupted = true;
+    _stop = true;
 }
 
 bool
-ShardMerge::saturatedLocked() const
+ShardMerge::saturated() const
 {
     if (_cfg.saturationPct <= 0.0)
         return false;
@@ -106,7 +77,6 @@ ShardMerge::saturatedLocked() const
 ShardDelta
 ShardMerge::add(const ShardOutcome &out, double wall_seconds, bool resumed)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     CampaignResult &res = _result;
     ++res.shardsRun;
     if (resumed)
@@ -158,18 +128,17 @@ ShardMerge::add(const ShardOutcome &out, double wall_seconds, bool resumed)
     res.saturationCurve.push_back(std::move(point));
 
     if (!out.result.passed) {
-        if (!res.firstFailure || out.index < res.firstFailure->index) {
+        if (!res.firstFailure) {
             res.firstFailure = ShardFailure{
                 out.name, out.seed, out.index, out.result.report,
                 out.result.failureClass};
         }
-        bool host = isHostFailureClass(out.result.failureClass);
-        if (host ? _cfg.stopOnHostFailure : _cfg.stopOnFailure)
-            requestStop();
+        if (stopsCampaign(_cfg, out.result.failureClass))
+            _stop = true;
     }
-    if (!res.shardsToSaturation && saturatedLocked()) {
+    if (!res.shardsToSaturation && saturated()) {
         res.shardsToSaturation = res.shardsRun;
-        requestStop();
+        _stop = true;
     }
     if (_cfg.keepOutcomes)
         res.outcomes.push_back(out);
@@ -194,68 +163,7 @@ ShardMerge::take(double wall_seconds)
         res.l2Union = _l2.grid();
     if (!_dir.empty())
         res.dirUnion = _dir.grid();
-    std::sort(res.outcomes.begin(), res.outcomes.end(),
-              [](const ShardOutcome &a, const ShardOutcome &b) {
-                  return a.index < b.index;
-              });
     return std::move(_result);
-}
-
-ShardOutcome
-runShardIsolated(const ShardSpec &spec, std::size_t index)
-{
-    ShardOutcome out;
-    try {
-        out = spec.run();
-    } catch (const std::exception &e) {
-        // Shard isolation: anything a tester failed to convert itself
-        // becomes a structured failure here.
-        out.result.passed = false;
-        out.result.failureClass = FailureClass::Other;
-        out.result.report = e.what();
-    } catch (...) {
-        out.result.passed = false;
-        out.result.failureClass = FailureClass::Other;
-        out.result.report = "unknown shard exception";
-    }
-    if (out.name.empty())
-        out.name = spec.name;
-    out.seed = spec.seed;
-    out.index = index;
-    return out;
-}
-
-CampaignResult
-runCampaign(std::vector<ShardSpec> shards, const CampaignConfig &cfg)
-{
-    ShardMerge merge(cfg, shards.size());
-    if (shards.empty())
-        return merge.take(0.0);
-
-    unsigned jobs = cfg.jobs != 0 ? cfg.jobs : ThreadPool::defaultThreads();
-    jobs = std::min<unsigned>(jobs,
-                              static_cast<unsigned>(shards.size()));
-    merge.setJobs(jobs);
-
-    Clock::time_point start = Clock::now();
-    {
-        ThreadPool pool(jobs);
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-            // The spec is moved into the job; the pool owns it until run.
-            pool.submit([&merge, start, i,
-                         spec = std::move(shards[i])] {
-                if (merge.stopRequested()) {
-                    merge.addSkipped();
-                    return;
-                }
-
-                merge.add(runShardIsolated(spec, i), secondsSince(start));
-            });
-        }
-        pool.waitIdle();
-    }
-
-    return merge.take(secondsSince(start));
 }
 
 ShardSpec

@@ -1,34 +1,35 @@
 /**
  * @file
- * Multi-seed / multi-configuration testing campaigns.
+ * Multi-seed / multi-configuration testing campaigns: the shard, its
+ * outcome, and the one merge every campaign aggregate is built by.
  *
  * The paper's headline result is a rate: the DRF tester reaches full
  * coherence coverage orders of magnitude faster than the application
  * suite. Every ApuSystem + tester pair is fully self-contained (its own
  * EventQueue, its own RNG) and deterministic, which makes N seeds x M
- * configurations embarrassingly parallel. The campaign runner shards
- * them across a work-stealing thread pool, merges per-shard coverage
- * grids and result statistics under one mutex, records the union
- * coverage saturation curve, and stops early when the union saturates
- * or a shard fails (preserving the first failure's seed and report for
- * deterministic single-threaded reproduction).
+ * configurations embarrassingly parallel. runCampaign and
+ * runSupervisedCampaign (guidance/adaptive_campaign.hh) run a fixed
+ * shard list on the one in-process campaign loop: shards execute on a
+ * work-stealing thread pool, and their outcomes are merged here in
+ * shard-index order — stat sums, union coverage, the saturation curve
+ * — with an early stop when the union saturates or a shard fails
+ * (preserving the first failure's seed and report for deterministic
+ * single-threaded reproduction).
  *
  * Determinism contract: each shard's TesterResult is bit-for-bit
  * reproducible from its (configuration, seed) pair regardless of thread
- * count. Aggregates built from commutative operations (stat sums, grid
- * unions over a fixed shard set) are therefore thread-count invariant
- * too; only completion-order artifacts (the saturation curve, wall
- * times, and which shards got skipped after an early stop) vary.
+ * count, and the merge sees outcomes in index order. So every
+ * aggregate — sums, unions, the saturation curve, the early-stop cut
+ * and which shards it skipped — is thread-count invariant; only wall
+ * times vary.
  */
 
 #ifndef DRF_CAMPAIGN_CAMPAIGN_HH
 #define DRF_CAMPAIGN_CAMPAIGN_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -93,8 +94,8 @@ struct CampaignConfig
 
     /**
      * Stop launching new shards when a shard fails at *host* level
-     * (HostCrash/HostTimeout/ResourceExhausted — produced by supervised
-     * campaigns only; see src/campaign/supervisor.hh). Default off: a
+     * (HostCrash/HostTimeout/ResourceExhausted — produced by the shard
+     * barrier; see src/campaign/supervisor.hh). Default off: a
      * resilient campaign triages host faults and keeps going.
      */
     bool stopOnHostFailure = false;
@@ -157,11 +158,11 @@ struct CampaignResult
     bool passed = true;
     std::size_t shardsPlanned = 0;
     std::size_t shardsRun = 0;
-    std::size_t shardsSkipped = 0; ///< not launched due to early stop
+    std::size_t shardsSkipped = 0; ///< not merged: early stop/interrupt
     unsigned jobs = 0;             ///< worker threads actually used
 
-    // Host-level triage, populated by supervised campaigns (see
-    // src/campaign/supervisor.hh); all zero under plain runCampaign.
+    // Host-level triage, populated by the shard barrier (see
+    // src/campaign/supervisor.hh).
     std::size_t hostCrashes = 0;       ///< shards ending HostCrash
     std::size_t hostTimeouts = 0;      ///< shards reaped (deadline/budget)
     std::size_t resourceExhausted = 0; ///< shards that never got past
@@ -170,7 +171,7 @@ struct CampaignResult
     std::size_t shardsResumed = 0; ///< merged from the journal, not run
     bool interrupted = false;      ///< SIGINT/SIGTERM graceful shutdown
 
-    /** Lowest-index failure observed (reproduce with its name/seed). */
+    /** Lowest-index failure merged (reproduce with its name/seed). */
     std::optional<ShardFailure> firstFailure;
 
     // Union coverage over all completed shards.
@@ -178,7 +179,7 @@ struct CampaignResult
     std::optional<CoverageGrid> l2Union;
     std::optional<CoverageGrid> dirUnion;
 
-    /** Union coverage after each completed shard, completion order. */
+    /** Union coverage after each merged shard, shard-index order. */
     std::vector<CoveragePoint> saturationCurve;
 
     /** Completed-shard count at which saturationPct was first met. */
@@ -225,15 +226,21 @@ struct ShardDelta
 };
 
 /**
- * Thread-safe cross-shard merge: the one place campaign aggregates are
- * built. runCampaign, the supervisor (supervisor.cc) and the adaptive
- * loop's FeedbackLoop (guidance/adaptive_campaign.hh, which the fleet
- * coordinator drives too) all funnel every completed ShardOutcome
- * through add(), so stat sums, union coverage, the saturation curve,
- * first-failure bookkeeping, host triage counters, and the early-stop
- * policy have exactly one implementation — which is what makes a
- * resumed campaign's aggregates bit-identical to an uninterrupted
- * run's, and an adaptive campaign's identical at any executor count.
+ * True if a failure of class @p c stops @p cfg's campaign: host-level
+ * classes follow stopOnHostFailure, the rest stopOnFailure.
+ */
+bool stopsCampaign(const CampaignConfig &cfg, FailureClass c);
+
+/**
+ * Cross-shard merge: the one place campaign aggregates are built. The
+ * campaign loop's FeedbackLoop (guidance/adaptive_campaign.hh, which
+ * the fleet coordinator drives too) funnels every completed
+ * ShardOutcome through add() on its driving thread, so stat sums, union
+ * coverage, the saturation curve, first-failure bookkeeping, host
+ * triage counters, and the early-stop policy have exactly one
+ * implementation — which is what makes a resumed campaign's aggregates
+ * bit-identical to an uninterrupted run's, and every campaign's
+ * identical at any executor count. Not thread-safe.
  */
 class ShardMerge
 {
@@ -244,19 +251,15 @@ class ShardMerge
     void setJobs(unsigned jobs);
 
     /** True once a failure/saturation/shutdown stop was requested. */
-    bool stopRequested() const;
+    bool stopRequested() const { return _stop; }
 
-    /** Stop launching further shards (sticky). */
-    void requestStop();
-
-    /** Flag a SIGINT/SIGTERM graceful shutdown; implies requestStop. */
+    /** Flag a SIGINT/SIGTERM graceful shutdown; implies a stop. */
     void markInterrupted();
 
-    /** Account shards skipped by an early stop. */
-    void addSkipped(std::size_t count = 1);
-
     /**
-     * Merge one completed shard (thread-safe). @p wall_seconds is the
+     * Merge one completed shard; feed shards in shard-index order, so
+     * the first failure merged is the lowest-index one and the curve
+     * and kept outcomes are in index order. @p wall_seconds is the
      * campaign-relative completion time for the saturation curve;
      * @p resumed marks outcomes replayed from a journal rather than
      * executed (they count into shardsRun *and* shardsResumed). A
@@ -265,33 +268,19 @@ class ShardMerge
     ShardDelta add(const ShardOutcome &out, double wall_seconds,
                    bool resumed = false);
 
-    /** Finalize and return the result. Call once, no concurrent adds. */
+    /** Finalize and return the result. Call once. */
     CampaignResult take(double wall_seconds);
 
   private:
-    bool saturatedLocked() const;
+    bool saturated() const;
 
     const CampaignConfig _cfg;
-    std::mutex _mutex;
     CampaignResult _result;
     CoverageAccumulator _l1;
     CoverageAccumulator _l2;
     CoverageAccumulator _dir;
-    std::atomic<bool> _stop{false};
+    bool _stop = false;
 };
-
-/**
- * Run one shard on the calling thread. Shard isolation: an exception
- * the shard failed to convert itself becomes a FailureClass::Other
- * failure instead of escaping into a pool thread. The outcome carries
- * the spec's name (when the shard left it empty), its seed and
- * @p index.
- */
-ShardOutcome runShardIsolated(const ShardSpec &spec, std::size_t index);
-
-/** Run @p shards under @p cfg; blocks until done or early-stopped. */
-CampaignResult runCampaign(std::vector<ShardSpec> shards,
-                           const CampaignConfig &cfg = {});
 
 /** Shard running one Table III GPU tester preset. */
 ShardSpec gpuShard(const GpuTestPreset &preset);

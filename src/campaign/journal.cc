@@ -345,6 +345,20 @@ loadJournal(const std::string &path, std::vector<ShardOutcome> &records,
     return true;
 }
 
+std::map<std::size_t, ShardOutcome>
+loadAdoptable(const std::string &path, JournalLoadStats *stats)
+{
+    std::map<std::size_t, ShardOutcome> adoptable;
+    std::vector<ShardOutcome> records;
+    if (path.empty() || !loadJournal(path, records, stats))
+        return adoptable;
+    for (ShardOutcome &rec : records) {
+        if (!isHostFailureClass(rec.result.failureClass))
+            adoptable.emplace(rec.index, std::move(rec));
+    }
+    return adoptable;
+}
+
 CampaignJournal::CampaignJournal(const std::string &path)
     : CampaignJournal(path, Policy{})
 {

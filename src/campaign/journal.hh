@@ -7,8 +7,8 @@
  * count, and the three coverage grids as exact per-cell hit counts. The
  * line format is shared by three consumers:
  *
- *  - the journal file the supervisor appends after each shard, which
- *    --resume loads to skip completed shards while reproducing
+ *  - the journal file a campaign appends as it merges each shard,
+ *    which --resume loads to skip completed shards while reproducing
  *    bit-identical aggregates (sums and grid unions are commutative, so
  *    merging journaled outcomes in index order equals re-running them);
  *  - the fork-isolation pipe: a shard child process writes the same
@@ -64,6 +64,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -120,6 +121,17 @@ struct JournalLoadStats
 bool loadJournal(const std::string &path,
                  std::vector<ShardOutcome> &records,
                  JournalLoadStats *stats = nullptr);
+
+/**
+ * The records of @p path a resumed campaign may adopt, keyed by shard
+ * index: loadJournal's, minus host-level outcomes (a crash or hang
+ * describes the old host environment, not the deterministic
+ * simulation, so those shards re-run). The caller adopts a record only
+ * where its index, name and seed match the shard it would replace. An
+ * empty or unreadable path yields none; @p stats as for loadJournal.
+ */
+std::map<std::size_t, ShardOutcome>
+loadAdoptable(const std::string &path, JournalLoadStats *stats = nullptr);
 
 /**
  * Outcome of an injected journal write (Policy::writeFault): the

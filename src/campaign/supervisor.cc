@@ -29,7 +29,6 @@
 #include "campaign/campaign_json.hh"
 #include "campaign/journal.hh"
 #include "campaign/posix_io.hh"
-#include "campaign/thread_pool.hh"
 #include "chaos/chaos.hh"
 #include "trace/repro.hh"
 #include "trace/trace_file.hh"
@@ -42,15 +41,9 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-double
-secondsSince(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
 thread_local unsigned t_shardAttempt = 1;
 
-// Set by the signal handler; polled by the supervisor's signal thread.
+// Set by the signal handler; polled through SignalGuard::caught().
 // Async-signal-safe by construction (one relaxed atomic store).
 std::atomic<int> g_signalCaught{0};
 
@@ -59,36 +52,6 @@ onTerminationSignal(int sig)
 {
     g_signalCaught.store(sig, std::memory_order_relaxed);
 }
-
-/** RAII SIGINT/SIGTERM handler installation (no-op when disabled). */
-class SignalGuard
-{
-  public:
-    explicit SignalGuard(bool enable) : _enabled(enable)
-    {
-        if (!_enabled)
-            return;
-        g_signalCaught.store(0, std::memory_order_relaxed);
-        _oldInt = std::signal(SIGINT, onTerminationSignal);
-        _oldTerm = std::signal(SIGTERM, onTerminationSignal);
-    }
-
-    ~SignalGuard()
-    {
-        if (!_enabled)
-            return;
-        std::signal(SIGINT, _oldInt == SIG_ERR ? SIG_DFL : _oldInt);
-        std::signal(SIGTERM, _oldTerm == SIG_ERR ? SIG_DFL : _oldTerm);
-    }
-
-    SignalGuard(const SignalGuard &) = delete;
-    SignalGuard &operator=(const SignalGuard &) = delete;
-
-  private:
-    bool _enabled;
-    void (*_oldInt)(int) = SIG_DFL;
-    void (*_oldTerm)(int) = SIG_DFL;
-};
 
 /** One shard attempt under watch: its deadline and how to reap it. */
 struct WatchedTask
@@ -559,6 +522,15 @@ ShardRunner::ShardRunner(const SupervisorConfig &cfg)
     io::ignoreSigpipe();
 }
 
+ShardRunner::ShardRunner(const ShardPolicy &policy)
+    : ShardRunner([&policy] {
+          SupervisorConfig cfg;
+          static_cast<ShardPolicy &>(cfg) = policy;
+          return cfg;
+      }())
+{
+}
+
 ShardRunner::~ShardRunner() = default;
 
 void
@@ -581,131 +553,28 @@ currentShardAttempt()
     return t_shardAttempt;
 }
 
-CampaignResult
-runSupervisedCampaign(std::vector<ShardSpec> shards,
-                      const SupervisorConfig &cfg)
+SignalGuard::SignalGuard(bool enable) : _enabled(enable)
 {
-    ShardMerge merge(cfg.campaign, shards.size());
+    if (!_enabled)
+        return;
+    g_signalCaught.store(0, std::memory_order_relaxed);
+    _oldInt = std::signal(SIGINT, onTerminationSignal);
+    _oldTerm = std::signal(SIGTERM, onTerminationSignal);
+}
 
-    // Resume: adopt journaled outcomes for shards whose identity
-    // matches. Host-level outcomes are *not* adopted — they describe
-    // the previous host environment, not the deterministic simulation,
-    // so those shards get re-executed.
-    std::vector<bool> resumed(shards.size(), false);
-    std::vector<ShardOutcome> adopted;
-    if (cfg.resume && !cfg.journalPath.empty()) {
-        std::vector<ShardOutcome> records;
-        if (loadJournal(cfg.journalPath, records)) {
-            for (ShardOutcome &rec : records) {
-                if (rec.index >= shards.size())
-                    continue;
-                const ShardSpec &spec = shards[rec.index];
-                if (rec.name != spec.name || rec.seed != spec.seed)
-                    continue;
-                if (isHostFailureClass(rec.result.failureClass))
-                    continue;
-                resumed[rec.index] = true;
-                adopted.push_back(std::move(rec));
-            }
-        }
-    }
+SignalGuard::~SignalGuard()
+{
+    if (!_enabled)
+        return;
+    std::signal(SIGINT, _oldInt == SIG_ERR ? SIG_DFL : _oldInt);
+    std::signal(SIGTERM, _oldTerm == SIG_ERR ? SIG_DFL : _oldTerm);
+}
 
-    unsigned jobs =
-        cfg.campaign.jobs != 0 ? cfg.campaign.jobs
-                               : ThreadPool::defaultThreads();
-    if (!shards.empty())
-        jobs = std::min<unsigned>(
-            jobs, static_cast<unsigned>(shards.size()));
-    merge.setJobs(jobs);
-
-    // Open for appending only after the resume pass read the file.
-    CampaignJournal journal(cfg.journalPath);
-    if (journal.ok()) {
-        JsonWriter header;
-        header.beginObject();
-        header.key("v").value(1);
-        header.key("kind").value("header");
-        header.key("shards_planned")
-            .value(static_cast<std::uint64_t>(shards.size()));
-        header.key("resumed")
-            .value(static_cast<std::uint64_t>(adopted.size()));
-        header.endObject();
-        journal.append(header.str());
-    }
-
-    // Merge adopted shards first, in index order (loadJournal returns
-    // them sorted), so the aggregates a resumed run produces are the
-    // same commutative sums an uninterrupted run would build.
-    for (const ShardOutcome &rec : adopted)
-        merge.add(rec, 0.0, /*resumed=*/true);
-
-    if (shards.empty())
-        return merge.take(0.0);
-
-    SignalGuard signals(cfg.handleSignals);
-    ShardRunner runner(cfg);
-    runner.setStopCheck([&merge] { return merge.stopRequested(); });
-
-    Clock::time_point start = Clock::now();
-    {
-        ThreadPool pool(jobs);
-
-        // Poll for a caught termination signal and turn it into a
-        // graceful shutdown: queued shards cancelled wholesale, running
-        // shards left to finish.
-        std::atomic<bool> sigpollStop{false};
-        std::thread sigpoll;
-        if (cfg.handleSignals) {
-            sigpoll = std::thread([&] {
-                bool handled = false;
-                while (!sigpollStop.load(std::memory_order_acquire)) {
-                    if (!handled &&
-                        g_signalCaught.load(
-                            std::memory_order_relaxed) != 0) {
-                        handled = true;
-                        merge.markInterrupted();
-                        merge.addSkipped(pool.cancelPending());
-                    }
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(20));
-                }
-            });
-        }
-
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-            if (resumed[i])
-                continue;
-            pool.submit([&merge, &runner, &journal, start, i,
-                         spec = std::move(shards[i])]() mutable {
-                if (merge.stopRequested()) {
-                    merge.addSkipped();
-                    return;
-                }
-                ShardOutcome out = runner.run(std::move(spec), i);
-                if (journal.ok())
-                    journal.append(shardOutcomeToJson(out));
-                merge.add(out, secondsSince(start));
-            });
-        }
-        pool.waitIdle();
-
-        sigpollStop.store(true, std::memory_order_release);
-        if (sigpoll.joinable())
-            sigpoll.join();
-    }
-
-    // The poll thread may have been past its check when a late signal
-    // arrived; make sure the flag is reflected either way.
-    if (cfg.handleSignals &&
-        g_signalCaught.load(std::memory_order_relaxed) != 0)
-        merge.markInterrupted();
-
-    // Flush journaled records before take(): a crash after this point
-    // loses nothing, and tests reading the journal right after the
-    // call see every record.
-    journal.flush(/*sync=*/true);
-
-    return merge.take(secondsSince(start));
+bool
+SignalGuard::caught() const
+{
+    return _enabled &&
+           g_signalCaught.load(std::memory_order_relaxed) != 0;
 }
 
 } // namespace drf

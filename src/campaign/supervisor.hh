@@ -1,11 +1,13 @@
 /**
  * @file
- * Resilient campaign supervision: shard isolation, hang/crash triage,
- * bounded retry, and checkpoint/resume.
+ * Shard supervision: isolation, hang/crash triage, bounded retry, and
+ * repro capture — the one shard barrier every campaign runs through.
  *
- * runCampaign (campaign.hh) assumes every shard is a well-behaved
- * function. The supervisor drops that assumption and makes each shard a
- * fault-contained unit, so a campaign left running unattended for hours
+ * The in-process campaign loop (guidance/adaptive_campaign.hh, which
+ * runCampaign and runSupervisedCampaign drive too) and every fleet
+ * worker run each shard through a ShardRunner, so a shard fails — and
+ * retries, and times out — identically wherever it runs. A shard is a
+ * fault-contained unit: a campaign left running unattended for hours
  * survives anything a single shard does to its host:
  *
  *  - Isolation. Every attempt runs under an exception barrier that
@@ -36,25 +38,21 @@
  *    per seed — and are never retried; neither are HostCrash or
  *    HostTimeout, which a retry would just reproduce (or worse, mask).
  *
- *  - Checkpointing. With journalPath set, every completed shard is
- *    appended to an append-only JSONL journal (journal.hh). SIGINT and
- *    SIGTERM (handleSignals) trigger a graceful shutdown: queued shards
- *    are cancelled wholesale, running shards finish and are journaled,
- *    and the result is marked interrupted. resume loads the journal,
- *    merges completed shards in index order without re-running them,
- *    and re-executes only shards that are missing or whose journaled
- *    outcome was host-level (a crash/hang describes the old host
- *    environment, not the deterministic simulation, so resume gives
- *    them a fresh chance). Because all aggregates are commutative sums
- *    and grid unions built by the shared ShardMerge, a resumed
- *    campaign's aggregates are bit-identical to an uninterrupted run's
- *    (wall-clock and completion-order fields excepted).
- *
  *  - Repro capture. Any failing shard with preset provenance
  *    (ShardSpec::gpuPreset) gets a DRFTRC01 trace re-recorded into
  *    reproDir, feeding tools/shrink_repro; host-level failures under
  *    fork isolation re-record inside a bounded child, and in-process
  *    host failures fall back to a JSON stub preserving preset + seed.
+ *
+ * Checkpointing and graceful shutdown are campaign-level and live in
+ * the loop: with journalPath set, each merged shard is appended to an
+ * append-only JSONL journal (journal.hh) in shard-index order; resume
+ * adopts journaled protocol-level outcomes instead of re-running them
+ * (a host-level outcome describes the old host environment, not the
+ * deterministic simulation, so those shards get a fresh chance); and
+ * with handleSignals, SIGINT/SIGTERM (caught by a SignalGuard) stop the
+ * campaign gracefully — running shards finish and are journaled,
+ * unstarted ones are skipped, and the result is marked interrupted.
  *
  * The supervisor's own test harness is the host-fault injector
  * (host_fault.hh), which deterministically makes designated shards
@@ -70,7 +68,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "campaign/campaign.hh"
 
@@ -93,19 +90,22 @@ class ResourceExhaustedError : public std::runtime_error
 
 /**
  * 1-based attempt number of the supervised shard invocation running on
- * the calling thread (1 outside a supervised shard, and always 1 under
- * plain runCampaign). Deterministic across isolation modes: the
- * supervisor sets it before invoking the shard, and fork() clones the
- * calling thread, so a shard child observes the same value. The
- * host-fault injector keys its transient faults on it.
+ * the calling thread (1 outside a supervised shard). Deterministic
+ * across isolation modes: the supervisor sets it before invoking the
+ * shard, and fork() clones the calling thread, so a shard child
+ * observes the same value. The host-fault injector keys its transient
+ * faults on it.
  */
 unsigned currentShardAttempt();
 
-/** Supervision policy on top of a CampaignConfig. */
-struct SupervisorConfig
+/**
+ * How every attempt of a shard is supervised. A fleet coordinator
+ * ships it to its workers in the Welcome frame (fleet/protocol.hh), so
+ * one struct is shared by SupervisorConfig, the coordinator's config
+ * and the wire message.
+ */
+struct ShardPolicy
 {
-    CampaignConfig campaign;
-
     /** Run each attempt in a forked child (POSIX; falls back to the
      *  in-process barrier elsewhere). */
     bool forkIsolation = false;
@@ -122,6 +122,12 @@ struct SupervisorConfig
 
     /** Backoff before retry N is retryBackoffMs << (N - 1). */
     unsigned retryBackoffMs = 10;
+};
+
+/** Supervision policy on top of a CampaignConfig. */
+struct SupervisorConfig : ShardPolicy
+{
+    CampaignConfig campaign;
 
     /**
      * Jitter added to each retry backoff, as a percentage of the base
@@ -151,10 +157,11 @@ struct SupervisorConfig
  * Per-shard supervised execution engine: isolation (fork or in-process
  * barrier), wall-clock reaping via its own watchdog thread, the event
  * budget, bounded transient retry, and repro capture — everything the
- * supervisor does to *one* shard, reusable outside a whole-campaign
- * run. runSupervisedCampaign drives one instance from its thread pool;
- * a fleet worker (src/fleet) drives one per process so each leased
- * shard gets the same fault containment as a local campaign shard.
+ * supervisor does to *one* shard. The campaign loop drives one instance
+ * from its thread pool; a fleet worker (src/fleet) drives one per
+ * process, and the fleet coordinator one for the leases it runs
+ * itself, so each shard gets the same fault containment wherever it
+ * runs.
  *
  * Thread-safe: run() may be called concurrently from many threads.
  * Campaign-level policy (journal, resume, signals, merge, early stop)
@@ -165,6 +172,8 @@ class ShardRunner
 {
   public:
     explicit ShardRunner(const SupervisorConfig &cfg);
+    /** @p policy with SupervisorConfig's defaults for everything else. */
+    explicit ShardRunner(const ShardPolicy &policy);
     ~ShardRunner();
 
     ShardRunner(const ShardRunner &) = delete;
@@ -189,11 +198,28 @@ class ShardRunner
 };
 
 /**
- * Run @p shards under supervision. Blocks until every shard completed,
- * was skipped by an early stop, or the campaign was interrupted.
+ * RAII SIGINT/SIGTERM capture for a graceful shutdown: while the guard
+ * lives, a termination signal only sets a flag the campaign loop polls;
+ * the previous handlers come back on destruction. A disabled guard
+ * installs nothing and never reports a signal.
  */
-CampaignResult runSupervisedCampaign(std::vector<ShardSpec> shards,
-                                     const SupervisorConfig &cfg);
+class SignalGuard
+{
+  public:
+    explicit SignalGuard(bool enable);
+    ~SignalGuard();
+
+    SignalGuard(const SignalGuard &) = delete;
+    SignalGuard &operator=(const SignalGuard &) = delete;
+
+    /** True once SIGINT or SIGTERM arrived while the guard was armed. */
+    bool caught() const;
+
+  private:
+    bool _enabled;
+    void (*_oldInt)(int) = nullptr;
+    void (*_oldTerm)(int) = nullptr;
+};
 
 } // namespace drf
 

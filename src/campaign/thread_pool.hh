@@ -10,9 +10,9 @@
  * round-robins across workers to seed the deques evenly.
  *
  * Jobs must not let exceptions escape (an escaping exception terminates
- * the process, as with any detached thread); the campaign runner wraps
- * every shard in a catch-all that converts failures into structured
- * results.
+ * the process, as with any detached thread); the campaign loop runs
+ * every shard through a ShardRunner, whose barrier converts failures
+ * into structured results.
  */
 
 #ifndef DRF_CAMPAIGN_THREAD_POOL_HH
@@ -62,9 +62,8 @@ class ThreadPool
     /**
      * Drop every queued-but-unstarted job and return how many were
      * dropped. Jobs already executing finish normally. The campaign
-     * supervisor uses this for SIGINT/SIGTERM graceful shutdown: the
-     * queue empties wholesale instead of each job being scheduled just
-     * to observe the stop flag.
+     * loop uses this when it stops early: the queue empties wholesale
+     * instead of each job being scheduled just to observe the stop.
      */
     std::size_t cancelPending();
 

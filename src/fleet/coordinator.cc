@@ -188,18 +188,6 @@ struct FleetCoordinator::Impl
         io::ignoreSigpipe();
     }
 
-    SupervisorConfig
-    runnerConfig() const
-    {
-        SupervisorConfig rc;
-        rc.forkIsolation = cfg.forkIsolation;
-        rc.shardTimeoutSeconds = cfg.shardTimeoutSeconds;
-        rc.shardEventBudget = cfg.shardEventBudget;
-        rc.maxRetries = cfg.maxRetries;
-        rc.retryBackoffMs = cfg.retryBackoffMs;
-        return rc;
-    }
-
     // ---- socket plumbing --------------------------------------------
 
     bool
@@ -258,11 +246,7 @@ struct FleetCoordinator::Impl
                 continue;
             }
             WelcomeMsg wm;
-            wm.forkIsolation = cfg.forkIsolation;
-            wm.shardTimeoutSeconds = cfg.shardTimeoutSeconds;
-            wm.shardEventBudget = cfg.shardEventBudget;
-            wm.maxRetries = cfg.maxRetries;
-            wm.retryBackoffMs = cfg.retryBackoffMs;
+            static_cast<ShardPolicy &>(wm) = cfg;
             wm.queueDepth = cfg.queueDepth;
             wm.heartbeatMs = cfg.heartbeatMs;
             if (!sendFrame(fd, MsgType::Welcome,
@@ -785,15 +769,21 @@ struct FleetCoordinator::Impl
 
     // ---- local execution (coordinator as worker of last resort) -----
 
+    /** Run one shard here under the workers' supervision policy. */
+    ShardOutcome
+    runHere(ShardSpec spec, std::size_t index)
+    {
+        if (!localRunner)
+            localRunner = std::make_unique<ShardRunner>(cfg);
+        return localRunner->run(std::move(spec), index);
+    }
+
     /** Run one shard here, through the same serialize/parse funnel a
      *  socket result takes, so every path yields identical records. */
     void
     runLocally(ShardSpec spec, std::size_t index)
     {
-        if (!localRunner)
-            localRunner =
-                std::make_unique<ShardRunner>(runnerConfig());
-        ShardOutcome out = localRunner->run(std::move(spec), index);
+        ShardOutcome out = runHere(std::move(spec), index);
         std::string line = shardOutcomeToJson(out);
         std::lock_guard<std::mutex> lock(mutex);
         ++stats.localRuns;
@@ -822,11 +812,7 @@ struct FleetCoordinator::Impl
                 lease = std::move(repairQueue.front());
                 repairQueue.pop_front();
             }
-            if (!localRunner)
-                localRunner =
-                    std::make_unique<ShardRunner>(runnerConfig());
-            ShardOutcome out =
-                localRunner->run(leaseToSpec(lease), lease.index);
+            ShardOutcome out = runHere(leaseToSpec(lease), lease.index);
             std::string line = shardOutcomeToJson(out);
             {
                 std::lock_guard<std::mutex> lock(mutex);
@@ -945,19 +931,11 @@ FleetCoordinator::run()
     // skipping: the counters surface how much was lost, the shards
     // simply re-run.
     std::map<std::size_t, ShardOutcome> adoptable;
-    if (cfg.resume && !cfg.journalPath.empty()) {
-        std::vector<ShardOutcome> records;
+    if (cfg.resume) {
         JournalLoadStats load_stats;
-        if (loadJournal(cfg.journalPath, records, &load_stats)) {
-            im.stats.resumeCrcSkipped = load_stats.crcSkipped;
-            im.stats.resumeParseSkipped = load_stats.parseSkipped;
-            for (ShardOutcome &rec : records) {
-                if (isHostFailureClass(rec.result.failureClass))
-                    continue;
-                std::size_t index = rec.index;
-                adoptable[index] = std::move(rec);
-            }
-        }
+        adoptable = loadAdoptable(cfg.journalPath, &load_stats);
+        im.stats.resumeCrcSkipped = load_stats.crcSkipped;
+        im.stats.resumeParseSkipped = load_stats.parseSkipped;
     }
 
     // Journal writer, optionally with injected disk faults underneath

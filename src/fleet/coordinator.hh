@@ -65,19 +65,15 @@
 namespace drf::fleet
 {
 
-/** Coordinator policy. */
-struct CoordinatorConfig
+/**
+ * Coordinator policy. The ShardPolicy base is the supervision applied
+ * to every shard attempt, locally and (via the Welcome frame) on every
+ * worker.
+ */
+struct CoordinatorConfig : ShardPolicy
 {
     /** Stop / coverage policy of the adaptive loop. */
     AdaptiveCampaignConfig campaign;
-
-    // Supervision policy applied to every shard attempt, locally and
-    // (via the Welcome frame) on every worker.
-    bool forkIsolation = false;
-    double shardTimeoutSeconds = 0.0;
-    std::uint64_t shardEventBudget = 0;
-    unsigned maxRetries = 2;
-    unsigned retryBackoffMs = 10;
 
     /** Listen address; 0.0.0.0 admits remote hosts. */
     std::string bindAddress = "127.0.0.1";

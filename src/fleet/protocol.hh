@@ -25,7 +25,7 @@
 #include <cstdint>
 #include <string>
 
-#include "campaign/campaign.hh"
+#include "campaign/supervisor.hh"
 #include "guidance/shard_source.hh"
 
 namespace drf::fleet
@@ -54,14 +54,9 @@ struct HelloMsg
  * so a shard fails (and retries, and times out) identically wherever
  * it runs, plus the flow-control constants.
  */
-struct WelcomeMsg
+struct WelcomeMsg : ShardPolicy
 {
     unsigned protocolVersion = kProtocolVersion;
-    bool forkIsolation = false;
-    double shardTimeoutSeconds = 0.0;
-    std::uint64_t shardEventBudget = 0;
-    unsigned maxRetries = 2;
-    unsigned retryBackoffMs = 10;
     /** Max leases a worker holds (running + queued). */
     unsigned queueDepth = 2;
     /** Worker heartbeat period. */

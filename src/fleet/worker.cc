@@ -150,13 +150,7 @@ runSession(int fd, const WorkerConfig &cfg, chaos::WireChaos *wc,
     if (welcome.protocolVersion != kProtocolVersion)
         return SessionEnd::VersionReject;
 
-    SupervisorConfig runner_cfg;
-    runner_cfg.forkIsolation = welcome.forkIsolation;
-    runner_cfg.shardTimeoutSeconds = welcome.shardTimeoutSeconds;
-    runner_cfg.shardEventBudget = welcome.shardEventBudget;
-    runner_cfg.maxRetries = welcome.maxRetries;
-    runner_cfg.retryBackoffMs = welcome.retryBackoffMs;
-    ShardRunner runner(runner_cfg);
+    ShardRunner runner(welcome);
 
     std::mutex mutex;
     std::condition_variable cv;

@@ -1,5 +1,6 @@
 #include "guidance/adaptive_campaign.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -9,6 +10,7 @@
 #include <utility>
 
 #include "campaign/campaign_json.hh"
+#include "campaign/journal.hh"
 #include "campaign/thread_pool.hh"
 
 namespace drf
@@ -49,6 +51,7 @@ CampaignConfig
 mergeConfig(const AdaptiveCampaignConfig &cfg)
 {
     CampaignConfig merge_cfg;
+    merge_cfg.jobs = cfg.jobs;
     // The loop stops on the first failure of any class.
     merge_cfg.stopOnFailure = cfg.stopOnFailure;
     merge_cfg.stopOnHostFailure = cfg.stopOnFailure;
@@ -60,8 +63,14 @@ mergeConfig(const AdaptiveCampaignConfig &cfg)
 } // namespace
 
 FeedbackLoop::FeedbackLoop(ShardSource &source,
+                           const CampaignConfig &merge_cfg)
+    : _source(source), _merge(merge_cfg, 0)
+{
+}
+
+FeedbackLoop::FeedbackLoop(ShardSource &source,
                            const AdaptiveCampaignConfig &cfg)
-    : _source(source), _merge(mergeConfig(cfg), 0)
+    : FeedbackLoop(source, mergeConfig(cfg))
 {
 }
 
@@ -105,8 +114,7 @@ FeedbackLoop::take(double wall_seconds, unsigned jobs)
         res.firstFailureClass = res.firstFailure->failureClass;
     res.failurePreset = std::move(_failurePreset);
     res.unionDigest = combinedDigest(res.l1Union, res.l2Union);
-    if (auto *guided = dynamic_cast<GuidedSource *>(&_source))
-        res.decisions = guided->decisions();
+    res.decisions = _source.decisions();
     res.predictTriage = _source.predictTriage();
     return res;
 }
@@ -134,12 +142,20 @@ class Mailbox
         _cv.notify_one();
     }
 
-    /** Block until something was posted; take everything posted. */
+    /**
+     * Take everything posted, blocking until something was. With
+     * @p poll, give up after a short wait so the caller can check for
+     * a termination signal; the result may then be empty.
+     */
     std::vector<Post>
-    wait()
+    wait(bool poll)
     {
         std::unique_lock<std::mutex> lock(_mutex);
-        _cv.wait(lock, [this] { return !_posts.empty(); });
+        auto posted = [this] { return !_posts.empty(); };
+        if (poll)
+            _cv.wait_for(lock, std::chrono::milliseconds(20), posted);
+        else
+            _cv.wait(lock, posted);
         return std::exchange(_posts, {});
     }
 
@@ -147,6 +163,31 @@ class Mailbox
     std::mutex _mutex;
     std::condition_variable _cv;
     std::vector<Post> _posts;
+};
+
+/** Issues a fixed shard list, each spec as its own one-shard batch. */
+class ShardListSource : public ShardSource
+{
+  public:
+    explicit ShardListSource(std::vector<ShardSpec> shards)
+        : _shards(std::move(shards))
+    {
+    }
+
+    Strategy strategy() const override { return Strategy::Sweep; }
+
+    std::vector<ShardSpec>
+    nextBatch() override
+    {
+        std::vector<ShardSpec> batch;
+        if (_next < _shards.size())
+            batch.push_back(std::move(_shards[_next++]));
+        return batch;
+    }
+
+  private:
+    std::vector<ShardSpec> _shards;
+    std::size_t _next = 0;
 };
 
 } // namespace
@@ -198,80 +239,115 @@ BatchWindow::capped() const
     return !_exhausted && _maxBatches != 0 && _pulled >= _maxBatches;
 }
 
-AdaptiveCampaignResult
-runAdaptiveCampaign(ShardSource &source, const AdaptiveCampaignConfig &cfg)
+namespace
 {
-    FeedbackLoop loop(source, cfg);
+
+/**
+ * The one in-process campaign loop: @p source's shards run on one pool
+ * through one ShardRunner, and cfg.campaign is the merge policy.
+ */
+AdaptiveCampaignResult
+runLoop(ShardSource &source, const SupervisorConfig &cfg)
+{
+    FeedbackLoop loop(source, cfg.campaign);
     BatchWindow window(source);
-    const unsigned jobs =
-        cfg.jobs != 0 ? cfg.jobs : ThreadPool::defaultThreads();
+    const unsigned jobs = cfg.campaign.jobs != 0
+                              ? cfg.campaign.jobs
+                              : ThreadPool::defaultThreads();
+
+    std::map<std::size_t, ShardOutcome> adoptable;
+    if (cfg.resume)
+        adoptable = loadAdoptable(cfg.journalPath);
+    // Open for appending only after the resume pass read the file.
+    CampaignJournal journal(cfg.journalPath);
+    if (journal.ok()) {
+        JsonWriter header;
+        header.beginObject();
+        header.key("v").value(1);
+        header.key("kind").value("header");
+        header.key("resumable")
+            .value(static_cast<std::uint64_t>(adoptable.size()));
+        header.endObject();
+        journal.append(header.str());
+    }
+    SignalGuard signals(cfg.handleSignals);
     Clock::time_point start = Clock::now();
 
-    // A shard whose global index is above this skips itself when it
-    // would start: lowered to a failing shard's index under
-    // stopOnFailure (as a barrier skips the rest of a failing batch),
-    // and to 0 once the loop stops.
-    std::atomic<std::size_t> skipAfter{SIZE_MAX};
+    // A shard whose global index is at or past this skips itself when
+    // it would start: lowered past a shard whose failure stops the
+    // merge (so everything up to it still runs, at any jobs), and to 0
+    // once the loop stops or is interrupted.
+    std::atomic<std::size_t> skipFrom{SIZE_MAX};
+    ShardRunner runner(cfg);
+    runner.setStopCheck([&skipFrom] {
+        return skipFrom.load(std::memory_order_acquire) == 0;
+    });
     Mailbox mailbox;
-    // Posted outcomes of undrained batches, by global index (nullopt:
-    // the shard skipped itself).
-    std::map<std::size_t, std::optional<ShardOutcome>> arrived;
+    // Outcomes of undrained batches, by global index: posted by a
+    // worker (nullopt: the shard skipped itself) or adopted from the
+    // journal.
+    struct Arrived
+    {
+        std::optional<ShardOutcome> out;
+        bool resumed = false;
+    };
+    std::map<std::size_t, Arrived> arrived;
     std::size_t running = 0; ///< submitted shards not yet posted
+    bool interrupted = false;
     // Declared after everything its jobs touch, so it drains first.
     std::optional<ThreadPool> pool;
 
     // Every ShardSource call below stays on this driving thread.
     auto submit = [&](std::vector<ShardSpec> batch) {
-        if (!pool)
-            pool.emplace(jobs);
         std::size_t index = window.end() - batch.size();
         for (ShardSpec &spec : batch) {
-            pool->submit([&, index = index++, spec = std::move(spec)] {
-                if (index > skipAfter.load(std::memory_order_acquire)) {
+            auto adopt = adoptable.find(index);
+            if (adopt != adoptable.end() &&
+                adopt->second.name == spec.name &&
+                adopt->second.seed == spec.seed) {
+                arrived[index++] = {std::move(adopt->second), true};
+                continue;
+            }
+            if (!pool)
+                pool.emplace(jobs);
+            pool->submit([&, index = index++,
+                          spec = std::move(spec)]() mutable {
+                if (index >= skipFrom.load(std::memory_order_acquire)) {
                     mailbox.post(index, std::nullopt);
                     return;
                 }
-                ShardOutcome out = runShardIsolated(spec, index);
-                if (!out.result.passed && cfg.stopOnFailure &&
-                    !isHostFailureClass(out.result.failureClass)) {
-                    std::size_t cur = skipAfter.load();
-                    while (index < cur &&
-                           !skipAfter.compare_exchange_weak(cur, index)) {
+                ShardOutcome out = runner.run(std::move(spec), index);
+                if (!out.result.passed &&
+                    stopsCampaign(cfg.campaign, out.result.failureClass)) {
+                    std::size_t cur = skipFrom.load();
+                    while (index + 1 < cur &&
+                           !skipFrom.compare_exchange_weak(cur,
+                                                           index + 1)) {
                     }
                 }
                 mailbox.post(index, std::move(out));
             });
+            ++running;
         }
-        running += batch.size();
     };
 
+    auto posted = [&](std::size_t i) { return arrived.count(i) != 0; };
     for (;;) {
-        while (window.mayPull(running, jobs)) {
-            std::vector<ShardSpec> batch = window.pull();
-            if (batch.empty())
-                break;
-            submit(std::move(batch));
-        }
-        if (window.empty())
-            break;
-
-        for (Mailbox::Post &post : mailbox.wait()) {
-            --running;
-            arrived.emplace(post.first, std::move(post.second));
-        }
-
         // Drain complete batches in index order: the source sees the
-        // same stream, and the stop policy runs at the same batch
-        // boundaries, as under a barrier.
-        auto posted = [&](std::size_t i) { return arrived.count(i) != 0; };
+        // same stream, the journal gets the same lines, and the stop
+        // policy runs at the same batch boundaries, as under a barrier.
         bool stop = false;
         while (!stop && window.frontDone(posted)) {
             loop.beginRound();
             for (std::size_t i = window.front().first;
                  i < window.front().end; ++i) {
                 auto it = arrived.find(i);
-                if (it->second)
-                    loop.onOutcome(*it->second, secondsSince(start));
+                if (const std::optional<ShardOutcome> &out = it->second.out) {
+                    if (!it->second.resumed && journal.ok())
+                        journal.append(shardOutcomeToJson(*out));
+                    loop.onOutcome(*out, secondsSince(start),
+                                   it->second.resumed);
+                }
                 arrived.erase(it);
             }
             window.popFront();
@@ -279,15 +355,79 @@ runAdaptiveCampaign(ShardSource &source, const AdaptiveCampaignConfig &cfg)
         }
         if (stop) {
             // Batches pulled ahead are never reported or counted.
-            skipAfter.store(0, std::memory_order_release);
-            pool->cancelPending();
+            skipFrom.store(0, std::memory_order_release);
+            if (pool)
+                pool->cancelPending();
             break;
         }
+
+        while (!interrupted && window.mayPull(running, jobs)) {
+            std::vector<ShardSpec> batch = window.pull();
+            if (batch.empty())
+                break;
+            submit(std::move(batch));
+        }
+        if (window.empty())
+            break;
+        if (window.frontDone(posted))
+            continue; // completed by adopted outcomes alone
+
+        for (Mailbox::Post &post : mailbox.wait(cfg.handleSignals)) {
+            --running;
+            arrived[post.first].out = std::move(post.second);
+        }
+        if (!interrupted && signals.caught()) {
+            // Graceful shutdown: pull nothing more, let unstarted
+            // shards skip themselves and running ones finish, and
+            // drain what completes.
+            interrupted = true;
+            skipFrom.store(0, std::memory_order_release);
+        }
     }
+    // A signal that arrived after the last poll still counts.
+    if (signals.caught())
+        loop.markInterrupted();
+    journal.flush(/*sync=*/true);
 
     const unsigned used = pool ? pool->threadCount() : 0;
     pool.reset(); // shards of discarded batches may still be running
     return loop.take(secondsSince(start), used);
+}
+
+} // namespace
+
+AdaptiveCampaignResult
+runAdaptiveCampaign(ShardSource &source, const AdaptiveCampaignConfig &cfg)
+{
+    SupervisorConfig supervised;
+    supervised.campaign = mergeConfig(cfg);
+    return runLoop(source, supervised);
+}
+
+CampaignResult
+runSupervisedCampaign(std::vector<ShardSpec> shards,
+                      const SupervisorConfig &cfg)
+{
+    const std::size_t planned = shards.size();
+    SupervisorConfig capped = cfg;
+    const unsigned jobs = cfg.campaign.jobs != 0
+                              ? cfg.campaign.jobs
+                              : ThreadPool::defaultThreads();
+    capped.campaign.jobs =
+        static_cast<unsigned>(std::min<std::size_t>(jobs, planned));
+    ShardListSource source(std::move(shards));
+    CampaignResult res = runLoop(source, capped);
+    res.shardsPlanned = planned;
+    res.shardsSkipped = planned - res.shardsRun;
+    return res;
+}
+
+CampaignResult
+runCampaign(std::vector<ShardSpec> shards, const CampaignConfig &cfg)
+{
+    SupervisorConfig supervised;
+    supervised.campaign = cfg;
+    return runSupervisedCampaign(std::move(shards), supervised);
 }
 
 namespace

@@ -1,35 +1,45 @@
 /**
  * @file
- * The adaptive campaign loop: ShardSource in, campaign batches out.
+ * The one in-process campaign loop: ShardSource in, campaign batches
+ * out.
  *
  * runAdaptiveCampaign() pulls batches from the source and runs their
  * shards on one work-stealing pool (src/campaign/) that lives for the
- * whole campaign. Finished shards wait in a reorder buffer; each batch
- * is fed back once it is complete, in global shard-index order, with
- * its newly-covered-cell counts computed against the cross-batch
- * union. The source is asked for its next batch as soon as a worker
- * would otherwise go idle, whatever its strategy; it answers with an
- * empty batch while that batch depends on feedback it has not received
- * yet (guided always, explore while its frontier is short), and is
- * asked again after the next batch drains. So a straggler idles the
- * pool only when the source itself has nothing to issue. That pull
- * rule and the reorder window live in BatchWindow, which the fleet
- * coordinator (src/fleet) schedules through as well.
+ * whole campaign, each through one ShardRunner (campaign/supervisor.hh)
+ * — the shard barrier fleet workers use too. runCampaign and
+ * runSupervisedCampaign run a fixed shard list on the same loop: the
+ * list becomes a source that issues each shard as its own batch.
+ * Finished shards wait in a reorder buffer; each batch is fed back
+ * once it is complete, in global shard-index order, with its
+ * newly-covered-cell counts computed against the cross-batch union.
+ * The source is asked for its next batch as soon as a worker would
+ * otherwise go idle, whatever its strategy; it answers with an empty
+ * batch while that batch depends on feedback it has not received yet
+ * (guided always, explore while its frontier is short), and is asked
+ * again after the next batch drains. So a straggler idles the pool
+ * only when the source itself has nothing to issue. That pull rule and
+ * the reorder window live in BatchWindow, which the fleet coordinator
+ * (src/fleet) schedules through as well.
+ *
+ * Checkpointing lives in the loop as well (SupervisorConfig): each
+ * merged shard is appended to the journal at drain time, in index
+ * order; on resume, a journaled outcome is adopted in place of running
+ * its shard; and a caught SIGINT/SIGTERM stops the pulls, lets running
+ * shards finish and drains them.
  *
  * Determinism contract: per-shard results are bit-exact functions of
  * (configuration, seed); the source only ever observes the
  * index-ordered outcome stream; and rounds are counted and the stop
  * policy checked at batch boundaries, however far ahead batches were
- * pulled. Outcomes of
- * batches pulled ahead of a stop are discarded: never reported, never
- * counted. Therefore two runs with the same master seed and no failing
- * shard produce the identical shard schedule, decision log, and
- * union-coverage digest at any worker count. (After a failure with
- * stopOnFailure, unstarted shards of the failing batch past the
- * failure are skipped; whether a higher-index shard of that batch had
- * already started is completion-order dependent at jobs > 1 —
- * everything up to and including the first failure is still
- * reproducible.)
+ * pulled. Outcomes of batches pulled ahead of a stop are discarded:
+ * never reported, never counted. Therefore two runs with the same
+ * master seed produce the identical shard schedule, decision log,
+ * saturation curve and union-coverage digest at any worker count, and
+ * a fixed list stops at the same shard. (After a failure that stops
+ * the campaign, unstarted shards of the failing batch past the failure
+ * are skipped; whether a higher-index shard of that batch had already
+ * started is completion-order dependent at jobs > 1 — everything up to
+ * and including the first failure is still reproducible.)
  */
 
 #ifndef DRF_GUIDANCE_ADAPTIVE_CAMPAIGN_HH
@@ -37,6 +47,7 @@
 
 #include <deque>
 
+#include "campaign/supervisor.hh"
 #include "guidance/sources.hh"
 #include "tester/tester_failure.hh"
 
@@ -98,11 +109,11 @@ struct AdaptiveCampaignResult : CampaignResult
 };
 
 /**
- * The feedback half of the adaptive loop, shared by the single-process
+ * The feedback half of the campaign loop, shared by the single-process
  * runner (runAdaptiveCampaign) and the fleet coordinator (src/fleet).
  * Every outcome goes through one ShardMerge, which builds the campaign
  * aggregates (union coverage, curve, totals, first failure, the
- * failure and saturation stop) exactly as runCampaign's does. The loop
+ * failure and saturation stop). The loop
  * keeps only what a merge cannot know: the index-ordered report() to
  * the source with its ShardFeedback, the round count, the failing
  * shard's preset, the union digest, the decision log and the predict
@@ -118,6 +129,8 @@ struct AdaptiveCampaignResult : CampaignResult
 class FeedbackLoop
 {
   public:
+    /** @p merge_cfg is the merge policy (its jobs field is unused). */
+    FeedbackLoop(ShardSource &source, const CampaignConfig &merge_cfg);
     FeedbackLoop(ShardSource &source, const AdaptiveCampaignConfig &cfg);
 
     /** Account one non-empty batch pulled from the source. */
@@ -247,6 +260,22 @@ class BatchWindow
 AdaptiveCampaignResult
 runAdaptiveCampaign(ShardSource &source,
                     const AdaptiveCampaignConfig &cfg = {});
+
+/**
+ * Run a fixed shard list on the campaign loop under @p cfg's
+ * supervision, journal and signal policy; blocks until every shard
+ * ran, an early stop or an interrupt skipped the rest. Each shard is
+ * its own batch, so the stop policy runs after every shard in index
+ * order: the curve, the first failure and the skipped shards are the
+ * same at any jobs. shardsPlanned is the list size, shardsSkipped the
+ * shards that never merged, and jobs is capped at the list size.
+ */
+CampaignResult runSupervisedCampaign(std::vector<ShardSpec> shards,
+                                     const SupervisorConfig &cfg);
+
+/** runSupervisedCampaign with the default supervision and no journal. */
+CampaignResult runCampaign(std::vector<ShardSpec> shards,
+                           const CampaignConfig &cfg = {});
 
 /** Decision log as a JSON array (embedded in campaign JSON/traces). */
 std::string guidanceDecisionsJson(

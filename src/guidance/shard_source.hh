@@ -89,6 +89,23 @@ struct ShardLease
     GenomeScale scale;
 };
 
+/** One guided-scheduler decision, fully reproducible from the seed. */
+struct GuidanceDecision
+{
+    std::size_t round = 0;
+    std::size_t arm = 0;
+    bool mutant = false; ///< arm was bred, not a preset
+    bool probe = false;  ///< first play, episodes/WF capped
+    ConfigGenome genome; ///< as issued (probe cap applied)
+    std::vector<std::uint64_t> seeds;
+
+    // Filled once the round's shards all reported back:
+    std::uint64_t episodes = 0;
+    std::uint64_t actions = 0;
+    std::size_t newCells = 0;
+    double rewardPerKiloEpisode = 0.0;
+};
+
 /** What the adaptive runner reports back for one completed shard. */
 struct ShardFeedback
 {
@@ -163,6 +180,17 @@ class ShardSource
     virtual std::optional<PredictTriage> predictTriage() const
     {
         return std::nullopt;
+    }
+
+    /**
+     * The scheduling decisions made so far, for the campaign JSON and
+     * trace headers. Empty for strategies that make none (every one but
+     * Strategy::Guided).
+     */
+    virtual const std::vector<GuidanceDecision> &decisions() const
+    {
+        static const std::vector<GuidanceDecision> none;
+        return none;
     }
 };
 

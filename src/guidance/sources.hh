@@ -121,23 +121,6 @@ struct GuidedOptions
     std::uint64_t episodeBudget = 0; ///< stop when episodes exceed this
 };
 
-/** One guided-scheduler decision, fully reproducible from the seed. */
-struct GuidanceDecision
-{
-    std::size_t round = 0;
-    std::size_t arm = 0;
-    bool mutant = false; ///< arm was bred, not a preset
-    bool probe = false;  ///< first play, episodes/WF capped
-    ConfigGenome genome; ///< as issued (probe cap applied)
-    std::vector<std::uint64_t> seeds;
-
-    // Filled once the round's shards all reported back:
-    std::uint64_t episodes = 0;
-    std::uint64_t actions = 0;
-    std::size_t newCells = 0;
-    double rewardPerKiloEpisode = 0.0;
-};
-
 /** The coverage-guided scheduler (see file header). */
 class GuidedSource : public ArmSourceBase
 {
@@ -149,7 +132,7 @@ class GuidedSource : public ArmSourceBase
     void report(const ShardOutcome &outcome,
                 const ShardFeedback &feedback) override;
 
-    const std::vector<GuidanceDecision> &decisions() const
+    const std::vector<GuidanceDecision> &decisions() const override
     {
         return _decisions;
     }

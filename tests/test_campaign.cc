@@ -2,17 +2,23 @@
  * @file
  * Tests for the multi-seed campaign runner: aggregate determinism
  * across thread counts, early stop on failure and on coverage
- * saturation, shard isolation, and the JSON summary.
+ * saturation (at the same shard at any thread count), shard isolation,
+ * and the JSON summary.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <future>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
-#include "campaign/campaign.hh"
 #include "campaign/campaign_json.hh"
+#include "guidance/adaptive_campaign.hh"
 #include "tester/configs.hh"
 #include "tester/tester_failure.hh"
 
@@ -61,6 +67,47 @@ syntheticShard(const std::string &name, std::uint64_t seed,
         return out;
     };
     return spec;
+}
+
+/**
+ * Make shard @p waiter finish only after shard @p opener has run, so
+ * completion order differs from index order. Needs jobs > 1; the wait
+ * times out only as a hang guard.
+ */
+void
+finishAfter(std::vector<ShardSpec> &shards, std::size_t waiter,
+            std::size_t opener)
+{
+    auto opened = std::make_shared<std::promise<void>>();
+    std::shared_future<void> gate = opened->get_future().share();
+    shards[waiter].run = [gate, inner = shards[waiter].run] {
+        gate.wait_for(std::chrono::seconds(60));
+        return inner();
+    };
+    shards[opener].run = [opened, inner = shards[opener].run] {
+        ShardOutcome out = inner();
+        opened->set_value();
+        return out;
+    };
+}
+
+/** What a campaign's early stop and curve must agree on at any jobs. */
+std::string
+stopAndCurve(const CampaignResult &res)
+{
+    std::string key = "run " + std::to_string(res.shardsRun) +
+                      " skipped " + std::to_string(res.shardsSkipped);
+    if (res.firstFailure)
+        key += " failed " + res.firstFailure->name + "#" +
+               std::to_string(res.firstFailure->index) + "/" +
+               std::to_string(res.firstFailure->seed);
+    if (res.shardsToSaturation)
+        key += " saturated@" + std::to_string(*res.shardsToSaturation);
+    for (const CoveragePoint &p : res.saturationCurve)
+        key += " " + p.shardName + "+" +
+               std::to_string(p.newL1Cells + p.newL2Cells +
+                              p.newDirCells);
+    return key;
 }
 
 } // namespace
@@ -329,4 +376,60 @@ TEST(Campaign, JsonEscapesControlCharacters)
 {
     EXPECT_EQ(jsonEscape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\"\\u0001\"");
+}
+
+TEST(Campaign, StopAndCurveAreJobsInvariant)
+{
+    // s4 fails mid-list. At jobs 4, s0 finishes after s2 and s4 only
+    // fails after s5 ran, so completion order and the shards running at
+    // the stop both differ from the serial schedule.
+    auto failing = [](unsigned jobs) {
+        std::vector<ShardSpec> shards;
+        for (std::uint64_t i = 0; i < 8; ++i)
+            shards.push_back(syntheticShard("s" + std::to_string(i),
+                                            40 + i, 10, i != 4));
+        if (jobs > 1) {
+            finishAfter(shards, 0, 2);
+            finishAfter(shards, 4, 5);
+        }
+        CampaignConfig cfg;
+        cfg.jobs = jobs;
+        return stopAndCurve(runCampaign(std::move(shards), cfg));
+    };
+    const std::string serial = failing(1);
+    EXPECT_EQ(serial, "run 5 skipped 3 failed s4#4/44 s0+0 s1+0 s2+0 "
+                      "s3+0 s4+0");
+    EXPECT_EQ(failing(4), serial);
+
+    // The same with a saturation stop: the threshold is the union
+    // coverage the serial curve first reaches at a later shard.
+    CampaignConfig plain;
+    plain.jobs = 1;
+    const CampaignResult reference =
+        runCampaign(gpuSeedSweep(tinyPreset(1), 1, 6), plain);
+    auto level = [](const CoveragePoint &p) {
+        return std::min(p.l1Pct, p.l2Pct);
+    };
+    double threshold = 0.0;
+    for (std::size_t i = 1; i < reference.saturationCurve.size(); ++i) {
+        if (level(reference.saturationCurve[i]) >
+            level(reference.saturationCurve[i - 1])) {
+            threshold = level(reference.saturationCurve[i]);
+            break;
+        }
+    }
+    ASSERT_GT(threshold, 0.0) << "curve never rose past its first shard";
+    auto saturating = [threshold](unsigned jobs) {
+        std::vector<ShardSpec> shards =
+            gpuSeedSweep(tinyPreset(1), 1, 6);
+        if (jobs > 1)
+            finishAfter(shards, 0, 3);
+        CampaignConfig cfg;
+        cfg.jobs = jobs;
+        cfg.saturationPct = threshold;
+        CampaignResult res = runCampaign(std::move(shards), cfg);
+        EXPECT_TRUE(res.shardsToSaturation.has_value());
+        return stopAndCurve(res);
+    };
+    EXPECT_EQ(saturating(4), saturating(1));
 }

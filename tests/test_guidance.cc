@@ -735,14 +735,20 @@ TEST(AdaptiveCampaign, FailureStopsAtTheFailingBatchAtAnyJobs)
 {
     // Four batches of two; s3 (the end of batch 1) throws. At jobs=4,
     // s3 also waits until batch 2's s5 has run, so the loop has
-    // outcomes past the stopping batch in hand when it stops.
+    // outcomes past the stopping batch in hand when it stops. s1 fails
+    // transiently once: the shard barrier retries it, and it passes.
     auto run = [](unsigned jobs) {
         auto gate = std::make_shared<Gate>();
         const bool wait_for_batch2 = jobs > 1;
         std::vector<std::vector<ShardSpec>> batches(4);
         for (std::size_t i = 0; i < 8; ++i) {
             std::function<void()> body = [] {};
-            if (i == 3) {
+            if (i == 1) {
+                body = [] {
+                    if (currentShardAttempt() == 1)
+                        throw ResourceExhaustedError("transient");
+                };
+            } else if (i == 3) {
                 body = [gate, wait_for_batch2] {
                     if (wait_for_batch2) {
                         EXPECT_TRUE(
@@ -764,14 +770,18 @@ TEST(AdaptiveCampaign, FailureStopsAtTheFailingBatchAtAnyJobs)
         EXPECT_FALSE(res.passed);
         EXPECT_EQ(res.rounds, 2u);
         EXPECT_EQ(res.shardsRun, 4u);
+        EXPECT_EQ(res.retriesPerformed, 1u);
+        EXPECT_EQ(res.resourceExhausted, 0u);
         EXPECT_EQ(source.reported, iota(4));
         EXPECT_FALSE(source.offThread);
         EXPECT_TRUE(res.firstFailure.has_value());
         if (res.firstFailure) {
             EXPECT_EQ(res.firstFailure->name, "s3");
-            EXPECT_EQ(res.firstFailure->report, "boom");
+            EXPECT_NE(res.firstFailure->report.find("boom"),
+                      std::string::npos);
         }
-        EXPECT_EQ(res.firstFailureClass, FailureClass::Other);
+        // An escaped exception is a HostCrash, as in the fleet.
+        EXPECT_EQ(res.firstFailureClass, FailureClass::HostCrash);
         return adaptiveAggregatesJson(res, "gpu_tester");
     };
     EXPECT_EQ(run(1), run(4));

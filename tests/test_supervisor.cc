@@ -15,6 +15,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -25,6 +26,7 @@
 #include "campaign/host_fault.hh"
 #include "campaign/journal.hh"
 #include "campaign/supervisor.hh"
+#include "guidance/adaptive_campaign.hh"
 #include "tester/configs.hh"
 #include "tester/tester_failure.hh"
 #include "trace/repro.hh"
@@ -433,6 +435,51 @@ TEST(Supervisor, ResumeReproducesAggregatesBitIdenticallyParallel)
     resumeBitIdentityAtJobs(4);
 }
 
+TEST(Supervisor, JournalRecordsAreInIndexOrder)
+{
+    const std::size_t total = 6;
+    std::string path = tempPath("index_order.jsonl");
+    std::remove(path.c_str());
+
+    // Shard 0 is the slowest: it finishes only after shard 3 has run.
+    auto opened = std::make_shared<std::promise<void>>();
+    std::shared_future<void> gate = opened->get_future().share();
+    std::vector<ShardSpec> shards;
+    for (std::size_t i = 0; i < total; ++i)
+        shards.push_back(
+            syntheticShard("s" + std::to_string(i), 100 + i));
+    shards[0].run = [gate, inner = shards[0].run] {
+        gate.wait_for(std::chrono::seconds(60));
+        return inner();
+    };
+    shards[3].run = [opened, inner = shards[3].run] {
+        ShardOutcome out = inner();
+        opened->set_value();
+        return out;
+    };
+
+    SupervisorConfig cfg = baseConfig(4);
+    cfg.journalPath = path;
+    CampaignResult res = runSupervisedCampaign(std::move(shards), cfg);
+    ASSERT_TRUE(res.passed);
+
+    std::ifstream in(path);
+    std::vector<std::size_t> indices;
+    std::string line;
+    std::string inner;
+    while (std::getline(in, line)) {
+        ShardOutcome out;
+        if (unsealJournalRecord(line, inner) == JournalSeal::Ok &&
+            parseShardOutcome(inner, out))
+            indices.push_back(out.index);
+    }
+    std::vector<std::size_t> expected;
+    for (std::size_t i = 0; i < total; ++i)
+        expected.push_back(i);
+    EXPECT_EQ(indices, expected);
+    std::remove(path.c_str());
+}
+
 TEST(Supervisor, SigtermMidCampaignJournalsAndResumes)
 {
     const std::size_t total = 5;
@@ -444,7 +491,7 @@ TEST(Supervisor, SigtermMidCampaignJournalsAndResumes)
         shards.push_back(
             syntheticShard("s" + std::to_string(i), 100 + i));
     // Shard 1 delivers SIGTERM mid-campaign, then lingers long enough
-    // for the watchdog (20 ms poll) to cancel the queued shards.
+    // for the campaign loop (20 ms poll) to stop pulling shards.
     ShardSpec &sig = shards[1];
     sig.run = [inner = sig.run]() {
         std::raise(SIGTERM);

@@ -28,10 +28,9 @@
 #include <string>
 #include <vector>
 
-#include "campaign/campaign.hh"
 #include "campaign/campaign_json.hh"
 #include "campaign/host_fault.hh"
-#include "campaign/supervisor.hh"
+#include "guidance/adaptive_campaign.hh"
 #include "tester/configs.hh"
 
 using namespace drf;
