@@ -46,12 +46,6 @@ stopsCampaign(const CampaignConfig &cfg, FailureClass c)
 }
 
 void
-ShardMerge::setJobs(unsigned jobs)
-{
-    _result.jobs = jobs;
-}
-
-void
 ShardMerge::markInterrupted()
 {
     _result.interrupted = true;
@@ -88,7 +82,9 @@ ShardMerge::add(const ShardOutcome &out, double wall_seconds, bool resumed)
     res.totalStoresRetired += out.result.storesRetired;
     res.totalAtomicsChecked += out.result.atomicsChecked;
     res.shardSecondsSum += out.result.hostSeconds;
-    res.retriesPerformed += out.attempts - 1;
+    // An adopted outcome's attempts were made by an earlier session.
+    if (!resumed)
+        res.retriesPerformed += out.attempts - 1;
     switch (out.result.failureClass) {
       case FailureClass::HostCrash: ++res.hostCrashes; break;
       case FailureClass::HostTimeout: ++res.hostTimeouts; break;

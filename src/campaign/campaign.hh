@@ -167,7 +167,8 @@ struct CampaignResult
     std::size_t hostTimeouts = 0;      ///< shards reaped (deadline/budget)
     std::size_t resourceExhausted = 0; ///< shards that never got past
                                        ///< transient host failures
-    std::uint64_t retriesPerformed = 0; ///< transient retries, total
+    /** Transient retries this session made (adopted shards add none). */
+    std::uint64_t retriesPerformed = 0;
     std::size_t shardsResumed = 0; ///< merged from the journal, not run
     bool interrupted = false;      ///< SIGINT/SIGTERM graceful shutdown
 
@@ -233,9 +234,9 @@ bool stopsCampaign(const CampaignConfig &cfg, FailureClass c);
 
 /**
  * Cross-shard merge: the one place campaign aggregates are built. The
- * campaign loop's FeedbackLoop (guidance/adaptive_campaign.hh, which
- * the fleet coordinator drives too) funnels every completed
- * ShardOutcome through add() on its driving thread, so stat sums, union
+ * campaign loop (guidance/adaptive_campaign.hh, on every executor)
+ * funnels every completed ShardOutcome through add() on its driving
+ * thread, so stat sums, union
  * coverage, the saturation curve, first-failure bookkeeping, host
  * triage counters, and the early-stop policy have exactly one
  * implementation — which is what makes a resumed campaign's aggregates
@@ -246,9 +247,6 @@ class ShardMerge
 {
   public:
     ShardMerge(const CampaignConfig &cfg, std::size_t shards_planned);
-
-    /** Record the worker-thread count for the summary. */
-    void setJobs(unsigned jobs);
 
     /** True once a failure/saturation/shutdown stop was requested. */
     bool stopRequested() const { return _stop; }

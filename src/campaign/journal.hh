@@ -15,8 +15,8 @@
  *    line to its parent, so process isolation and checkpointing
  *    exercise one serializer and one parser;
  *  - the fleet transport (src/fleet): a worker's Result frame carries
- *    the same line, so the coordinator's journal is written from the
- *    byte-identical record the worker produced.
+ *    the same line, so a fleet campaign journals, after one parse and
+ *    re-serialization, the bytes the worker produced.
  *
  * Grids are reconstructible because every controller's TransitionSpec
  * is a static singleton (GpuL1Cache::spec() etc.): a record names its
@@ -219,8 +219,8 @@ class CampaignJournal
 
     /**
      * Write the buffer out now (one syscall), optionally fsync. The
-     * fleet coordinator calls this when a batch completes so a freshly
-     * streamed-in record is resumable before the next lease goes out.
+     * campaign loop calls this when a batch drains so its records are
+     * resumable before the next shard is issued.
      */
     void flush(bool sync = false);
 

@@ -1,5 +1,7 @@
 #include "chaos/disk_chaos.hh"
 
+#include <memory>
+
 namespace drf::chaos {
 
 DiskWriteFate
@@ -43,6 +45,20 @@ DiskChaos::syncFate() {
     return EIO;
   }
   return 0;
+}
+
+CampaignJournal::Policy
+diskChaosJournalPolicy(std::uint64_t chaos_seed, const DiskRates& rates) {
+  CampaignJournal::Policy policy;
+  if (!rates.any()) return policy;
+  auto disk = std::make_shared<DiskChaos>(
+      deriveSeed(chaos_seed, "disk:journal"), rates);
+  policy.writeFault = [disk](std::size_t len) {
+    DiskWriteFate fate = disk->writeFate(len);
+    return JournalWriteFate{fate.allow, fate.err};
+  };
+  policy.syncFault = [disk] { return disk->syncFate(); };
+  return policy;
 }
 
 }  // namespace drf::chaos

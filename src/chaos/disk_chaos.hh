@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "campaign/journal.hh"
 #include "chaos/chaos.hh"
 
 namespace drf::chaos {
@@ -36,5 +37,15 @@ class DiskChaos {
   ChaosStats _stats;
   std::int64_t _bytesAccepted = 0;
 };
+
+/**
+ * A journal policy whose write() and fsync() calls fail as `rates`
+ * say, on the "disk:journal" stream of `chaos_seed`; all-zero rates
+ * give the default policy. The faults go below the writer's own
+ * retry/degrade ladder, which is the code under test. Copies of the
+ * policy share one fault stream.
+ */
+CampaignJournal::Policy diskChaosJournalPolicy(std::uint64_t chaos_seed,
+                                               const DiskRates& rates);
 
 }  // namespace drf::chaos

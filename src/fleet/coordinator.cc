@@ -27,7 +27,6 @@
 #include "campaign/journal.hh"
 #include "campaign/posix_io.hh"
 #include "chaos/chaos.hh"
-#include "chaos/disk_chaos.hh"
 #include "fleet/protocol.hh"
 #include "fleet/wire.hh"
 
@@ -105,12 +104,15 @@ splitResultPayload(const std::string &payload, std::string &line)
 
 } // namespace
 
-struct FleetCoordinator::Impl
+/**
+ * The fleet executor: leases the loop's shards to worker processes,
+ * and runs them here when no worker can. It posts an index once its
+ * answer is trusted; every later answer for it is a duplicate.
+ */
+struct FleetCoordinator::Impl final : ShardExecutor
 {
     ShardSource &source;
     const CoordinatorConfig cfg;
-    /** Pulled batches not yet drained; the pull rule. */
-    BatchWindow window;
 
     int listenFd = -1;
     unsigned short portBound = 0;
@@ -136,15 +138,13 @@ struct FleetCoordinator::Impl
         unsigned holders = 0;
     };
 
-    /** One result that arrived (socket, local run, or journal). */
-    struct Arrived
+    /** A first answer held back until its quorum cross-check lands. */
+    struct Unverified
     {
         ShardOutcome out;
-        std::string line; ///< verbatim journal record ("" if resumed)
-        std::string key; ///< canonicalResultKey ("" if resumed)
-        bool resumed = false;
-        /** The lease this result answered, kept so a later divergence
-         *  can re-run the shard authoritatively. */
+        std::string key; ///< canonicalResultKey
+        /** The lease this answer retired, kept so a divergence can
+         *  re-run the shard authoritatively. */
         ShardLease lease;
         bool hasLease = false;
     };
@@ -154,12 +154,17 @@ struct FleetCoordinator::Impl
     std::vector<std::shared_ptr<Worker>> workers;
     std::deque<ShardLease> pending; ///< unleased, index order
     std::map<std::size_t, OutstandingLease> outstanding;
-    /** First trusted result per index of every undrained batch. */
-    std::map<std::size_t, Arrived> results;
+    /** Submitted indices not yet posted; an answer for any other index
+     *  is a duplicate or a straggler. */
+    std::set<std::size_t> open;
+    /** Trusted outcomes not yet taken by wait(). */
+    std::vector<Post> posts;
+    /** First answers of sampled indices awaiting their cross-check. */
+    std::map<std::size_t, Unverified> unverified;
     /** Indices caught diverging: socket results are quarantined until
      *  the local authoritative re-run lands. */
     std::set<std::size_t> poisoned;
-    /** Undrained indices already duplicated for quorum. */
+    /** Unposted indices already duplicated for quorum. */
     std::set<std::size_t> quorumIssued;
     /** One in-flight cross-check: when it was issued and to whom. */
     struct PendingCheck
@@ -167,23 +172,25 @@ struct FleetCoordinator::Impl
         Clock::time_point issuedAt;
         const Worker *verifier = nullptr;
     };
-    /** Sampled indices whose second answer hasn't arrived: their batch
-     *  does not drain while these are pending (else a lying primary
-     *  result could be merged before its cross-check lands and the
-     *  straggler verdict would be discarded). A check is abandoned when its
-     *  verifier dies or a generous deadline passes — never on the
-     *  lease timeout, which is transport-scale while the verifier is
-     *  legitimately busy draining its own queue first. */
+    /** Sampled indices whose second answer hasn't arrived: their first
+     *  answer is not posted while these are pending (else a lying
+     *  primary result could be merged before its cross-check lands and
+     *  the straggler verdict would be discarded). A check is abandoned
+     *  when its verifier dies or a generous deadline passes — never on
+     *  the lease timeout, which is transport-scale while the verifier
+     *  is legitimately busy draining its own queue first. */
     std::map<std::size_t, PendingCheck> quorumPending;
     /** Diverged leases awaiting their authoritative local re-run. */
     std::deque<ShardLease> repairQueue;
+    /** Shards no lease can describe, run here (driving thread only). */
+    std::deque<std::pair<ShardSpec, std::size_t>> localOnly;
 
     std::unique_ptr<ShardRunner> localRunner;
 
     FleetResult stats;
 
     Impl(ShardSource &src, const CoordinatorConfig &c)
-        : source(src), cfg(c), window(src, c.maxRounds)
+        : source(src), cfg(c)
     {
         io::ignoreSigpipe();
     }
@@ -312,7 +319,7 @@ struct FleetCoordinator::Impl
                         break;
                     }
                     ++worker->completed;
-                    handleResultLineLocked(line, *worker);
+                    handleResultLineLocked(line);
                     topUpLocked(*worker);
                     enforceQuorumLocked();
                     break;
@@ -452,6 +459,23 @@ struct FleetCoordinator::Impl
         }
     }
 
+    /** The least-loaded alive worker not holding @p index, or null. */
+    Worker *
+    leastLoadedWithoutLocked(std::size_t index)
+    {
+        Worker *target = nullptr;
+        for (auto &worker : workers) {
+            bool holds_it = std::find(worker->held.begin(),
+                                      worker->held.end(),
+                                      index) != worker->held.end();
+            if (!worker->alive || holds_it)
+                continue;
+            if (!target || worker->held.size() < target->held.size())
+                target = worker.get();
+        }
+        return target;
+    }
+
     /** Duplicate leases outstanding longer than the lease timeout. */
     void
     releaseOverdueLocked()
@@ -462,22 +486,10 @@ struct FleetCoordinator::Impl
         for (auto &[index, ol] : outstanding) {
             if (ol.holders != 1 || settledLocked(index))
                 continue;
-            if (secondsSince(ol.issuedAt) < 0 ||
-                std::chrono::duration<double>(now - ol.issuedAt)
-                        .count() < cfg.leaseTimeoutSeconds)
+            if (std::chrono::duration<double>(now - ol.issuedAt)
+                    .count() < cfg.leaseTimeoutSeconds)
                 continue;
-            Worker *target = nullptr;
-            for (auto &worker : workers) {
-                bool holds_it =
-                    std::find(worker->held.begin(),
-                              worker->held.end(),
-                              index) != worker->held.end();
-                if (!worker->alive || holds_it)
-                    continue;
-                if (!target ||
-                    worker->held.size() < target->held.size())
-                    target = worker.get();
-            }
+            Worker *target = leastLoadedWithoutLocked(index);
             if (!target)
                 continue;
             ol.issuedAt = now; // restart the clock, avoid a storm
@@ -522,18 +534,7 @@ struct FleetCoordinator::Impl
             auto it = outstanding.find(index);
             if (it == outstanding.end())
                 continue;
-            Worker *target = nullptr;
-            for (auto &worker : workers) {
-                bool holds_it =
-                    std::find(worker->held.begin(),
-                              worker->held.end(),
-                              index) != worker->held.end();
-                if (!worker->alive || holds_it)
-                    continue;
-                if (!target ||
-                    worker->held.size() < target->held.size())
-                    target = worker.get();
-            }
+            Worker *target = leastLoadedWithoutLocked(index);
             if (!target)
                 continue; // single-worker fleet: nothing to compare
             ShardLease lease = it->second.lease;
@@ -548,8 +549,8 @@ struct FleetCoordinator::Impl
 
     /** Abandon cross-checks that can no longer resolve — the verifier
      *  died, or a deadline sized for whole shard queues (not frames)
-     *  passed. Sampling is best-effort under churn, but every batch
-     *  must always become drainable. */
+     *  passed — and post the first answer unverified. Sampling is
+     *  best-effort under churn, but every index must always post. */
     void
     expireQuorumLocked()
     {
@@ -560,10 +561,16 @@ struct FleetCoordinator::Impl
              it != quorumPending.end();) {
             bool dead = it->second.verifier &&
                         !it->second.verifier->alive;
-            if (dead || secondsSince(it->second.issuedAt) > bound)
-                it = quorumPending.erase(it);
-            else
+            if (!dead && secondsSince(it->second.issuedAt) <= bound) {
                 ++it;
+                continue;
+            }
+            auto first = unverified.find(it->first);
+            if (first != unverified.end()) {
+                postLocked(first->first, std::move(first->second.out));
+                unverified.erase(first);
+            }
+            it = quorumPending.erase(it);
         }
     }
 
@@ -576,11 +583,11 @@ struct FleetCoordinator::Impl
         return alive;
     }
 
-    /** True once @p index has a trusted result (or already drained). */
+    /** True once @p index has an answer (posted or being verified). */
     bool
     settledLocked(std::size_t index) const
     {
-        return index < window.drained() || results.count(index) != 0;
+        return open.count(index) == 0 || unverified.count(index) != 0;
     }
 
     /** No worker can take leases: the coordinator runs them itself. */
@@ -591,48 +598,34 @@ struct FleetCoordinator::Impl
                (cfg.localFallback && aliveLocked() == 0);
     }
 
-    /**
-     * The shared pull rule (BatchWindow) over the fleet's numbers:
-     * shards leased or pending against what the alive workers can hold
-     * (at least one, for the coordinator itself or late joiners).
-     */
+    /** Shards only the driving thread can run right now. */
     bool
-    mayPullLocked() const
+    localWorkLocked() const
     {
-        std::size_t capacity =
-            std::max<std::size_t>(1, aliveLocked() * cfg.queueDepth);
-        return window.mayPull(outstanding.size() + pending.size(),
-                              capacity);
-    }
-
-    /** The front batch may drain: every index answered, no quorum
-     *  cross-check still pending. */
-    bool
-    frontReadyLocked() const
-    {
-        return window.frontDone([this](std::size_t i) {
-            return results.count(i) != 0 && quorumPending.count(i) == 0;
-        });
-    }
-
-    /** Something for the driving thread to do besides waiting. */
-    bool
-    driverWorkLocked() const
-    {
-        return frontReadyLocked() || mayPullLocked() ||
-               !repairQueue.empty() ||
+        return !localOnly.empty() || !repairQueue.empty() ||
                (noFleetLocked() && !pending.empty());
     }
 
     // ---- result intake ----------------------------------------------
 
+    /** Hand @p index's outcome to the loop; later answers are
+     *  duplicates. */
+    void
+    postLocked(std::size_t index, std::optional<ShardOutcome> out)
+    {
+        open.erase(index);
+        quorumIssued.erase(index);
+        posts.emplace_back(index, std::move(out));
+    }
+
     /**
      * The one funnel every executed shard passes through — socket
-     * Result frames, coordinator-local runs, and (minus the journal
-     * re-append) resume adoption. First result per index wins.
+     * Result frames and coordinator-local runs. The first answer
+     * posts at once unless a quorum cross-check is pending for it;
+     * then the second answer decides.
      */
     void
-    handleResultLineLocked(const std::string &line, Worker &from)
+    handleResultLineLocked(const std::string &line)
     {
         ShardOutcome out;
         if (!parseShardOutcome(line, out))
@@ -655,116 +648,119 @@ struct FleetCoordinator::Impl
                     worker->held.erase(held);
             }
         }
-        (void)from;
 
-        if (poisoned.count(index)) {
-            // Straggler answer for a shard already caught diverging:
-            // only the local authoritative re-run may settle it.
+        if (poisoned.count(index) || open.count(index) == 0) {
+            // A straggler: the index was posted already (or never
+            // submitted), or caught diverging, and then only the local
+            // authoritative re-run may settle it.
             quorumPending.erase(index);
             ++stats.duplicateResults;
             return;
         }
 
-        // A second answer for an undrained index is compared with the
-        // first; one for an index whose batch already drained (a steal
-        // straggler) is a plain duplicate.
-        auto existing = results.find(index);
-        if (existing != results.end())
-            quorumPending.erase(index); // cross-check resolved
-        if (!window.holds(index) || existing != results.end()) {
-            if (existing != results.end() &&
-                !existing->second.resumed &&
-                existing->second.key != canonicalResultKey(out)) {
-                // Two workers returned byte-different records for the
-                // same deterministic shard: one of them lied without
-                // tripping CRC or digest. Neither copy can be trusted
-                // — quarantine the index and queue the authoritative
-                // local tiebreak, which lands before the batch can
-                // drain.
-                ++stats.quorumDivergences;
-                stats.divergedIndices.push_back(index);
-                ShardLease repair = existing->second.hasLease
-                                        ? existing->second.lease
-                                        : lease;
-                if (existing->second.hasLease || has_lease) {
-                    // Quarantined until the re-run lands; without a
-                    // lease to re-run from (shouldn't happen for
-                    // leased shards) the first answer has to stand.
-                    results.erase(existing);
-                    poisoned.insert(index);
-                    repairQueue.push_back(std::move(repair));
-                }
+        auto first = unverified.find(index);
+        if (first == unverified.end()) {
+            if (quorumPending.count(index) == 0) {
+                postLocked(index, std::move(out));
                 return;
             }
-            ++stats.duplicateResults;
+            std::string key = canonicalResultKey(out);
+            unverified.emplace(index,
+                               Unverified{std::move(out), std::move(key),
+                                          std::move(lease), has_lease});
             return;
         }
-        std::string key = canonicalResultKey(out);
-        results.emplace(index, Arrived{std::move(out), line,
-                                       std::move(key), false, lease,
-                                       has_lease});
+
+        // The cross-check: a second answer for a sampled index.
+        quorumPending.erase(index);
+        if (first->second.key == canonicalResultKey(out)) {
+            ++stats.duplicateResults;
+            postLocked(index, std::move(first->second.out));
+            unverified.erase(first);
+            return;
+        }
+        // Two workers returned byte-different records for the same
+        // deterministic shard: one of them lied without tripping CRC or
+        // digest. Neither copy can be trusted — quarantine the index
+        // and queue the authoritative local tiebreak, which posts it.
+        ++stats.quorumDivergences;
+        stats.divergedIndices.push_back(index);
+        if (!first->second.hasLease && !has_lease) {
+            // Without a lease to re-run from (shouldn't happen for
+            // leased shards) the first answer has to stand.
+            postLocked(index, std::move(first->second.out));
+        } else {
+            poisoned.insert(index);
+            repairQueue.push_back(first->second.hasLease
+                                      ? std::move(first->second.lease)
+                                      : std::move(lease));
+        }
+        unverified.erase(first);
     }
 
-    /**
-     * Stage a batch just pulled from the window: adopt journaled
-     * shards, queue leases for the rest, and collect the shards no
-     * lease can describe in @p local_only (run them unlocked).
-     */
+    // ---- the executor interface (driving thread) -------------------
+
     void
-    stageLocked(std::vector<ShardSpec> batch,
-                std::map<std::size_t, ShardOutcome> &adoptable,
-                std::vector<std::pair<ShardSpec, std::size_t>> &local_only)
+    submit(ShardSpec spec, std::size_t index) override
     {
-        std::size_t index = window.end() - batch.size();
-        for (ShardSpec &spec : batch) {
-            auto adopt = adoptable.find(index);
-            if (adopt != adoptable.end() &&
-                adopt->second.name == spec.name &&
-                adopt->second.seed == spec.seed) {
-                results.emplace(index,
-                                Arrived{std::move(adopt->second),
-                                        std::string(), std::string(),
-                                        true, ShardLease{}, false});
-                adoptable.erase(adopt);
-            } else if (std::optional<ShardLease> lease =
-                           source.leaseForSeed(spec.seed);
-                       lease && lease->name == spec.name) {
-                lease->index = index;
-                pending.push_back(std::move(*lease));
-            } else {
-                // Not describable on the wire: run it here.
-                local_only.emplace_back(std::move(spec), index);
-            }
-            ++index;
+        std::optional<ShardLease> lease = source.leaseForSeed(spec.seed);
+        std::lock_guard<std::mutex> lock(mutex);
+        open.insert(index);
+        if (!lease || lease->name != spec.name) {
+            // Not describable on the wire: run it here.
+            localOnly.emplace_back(std::move(spec), index);
+            return;
         }
+        lease->index = index;
+        pending.push_back(std::move(*lease));
         topUpAllLocked();
         // Quorum duplicates go out under this same mutex hold, so no
         // sampled result can arrive before its duplicate lease exists
-        // (a result beating the duplicate would retire the lease and
-        // the comparison would silently never happen).
+        // (a result beating the duplicate would be posted unverified).
         enforceQuorumLocked();
     }
 
-    /**
-     * If the front batch is ready, move its results out in index order
-     * and retire it: later arrivals for its indices are duplicates.
-     */
-    bool
-    takeFront(std::vector<Arrived> &ready)
+    /** What the alive workers can hold; at least one, for the
+     *  coordinator itself or late joiners. */
+    std::size_t
+    capacity() override
     {
         std::lock_guard<std::mutex> lock(mutex);
-        ready.clear();
-        if (!frontReadyLocked())
-            return false;
-        for (std::size_t i = window.front().first; i < window.front().end;
-             ++i) {
-            auto it = results.find(i);
-            ready.push_back(std::move(it->second));
-            results.erase(it);
-            quorumIssued.erase(i);
-        }
-        window.popFront();
-        return true;
+        return std::max<std::size_t>(1, aliveLocked() * cfg.queueDepth);
+    }
+
+    /**
+     * Run what only this thread can run, wait up to 100 ms for posts,
+     * then do the fleet's upkeep: reap silent workers, re-lease
+     * overdue leases, top up, sample and expire cross-checks.
+     */
+    std::vector<Post>
+    wait(bool) override
+    {
+        runLocalWork();
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait_for(lock, std::chrono::milliseconds(100), [this] {
+            return !posts.empty() || localWorkLocked();
+        });
+        reapSilentLocked();
+        releaseOverdueLocked();
+        topUpAllLocked();
+        enforceQuorumLocked();
+        expireQuorumLocked();
+        return std::exchange(posts, {});
+    }
+
+    /** Unleased and local-only shards post nullopt; leased ones finish. */
+    void
+    stop() override
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        for (const ShardLease &lease : pending)
+            postLocked(lease.index, std::nullopt);
+        pending.clear();
+        for (const auto &[spec, index] : localOnly)
+            postLocked(index, std::nullopt);
+        localOnly.clear();
     }
 
     // ---- local execution (coordinator as worker of last resort) -----
@@ -787,67 +783,50 @@ struct FleetCoordinator::Impl
         std::string line = shardOutcomeToJson(out);
         std::lock_guard<std::mutex> lock(mutex);
         ++stats.localRuns;
-        Worker nobody;
-        handleResultLineLocked(line, nobody);
-        cv.notify_all();
+        handleResultLineLocked(line);
     }
 
     /**
-     * Settle diverged shards: re-run each quarantined lease here,
-     * through the deterministic local ShardRunner, and install that
-     * answer as authoritative. The untrusted copies were discarded and
-     * their batch cannot drain until this lands, so the corrupt result
-     * never reaches the merge or the aggregates.
+     * Run, unlocked, every shard no worker can take: local-only
+     * shards, pending leases while the fleet is empty, and repairs. A
+     * repair re-runs a quarantined lease through the deterministic
+     * local ShardRunner and posts that answer as authoritative: the
+     * untrusted copies were discarded, so the corrupt result never
+     * reaches the merge or the aggregates.
      */
-    bool
-    drainRepairs()
+    void
+    runLocalWork()
     {
-        bool ran = false;
+        while (!localOnly.empty()) {
+            auto [spec, index] = std::move(localOnly.front());
+            localOnly.pop_front();
+            runLocally(std::move(spec), index);
+        }
         for (;;) {
             ShardLease lease;
+            bool repair = false;
             {
                 std::lock_guard<std::mutex> lock(mutex);
-                if (repairQueue.empty())
-                    return ran;
-                lease = std::move(repairQueue.front());
-                repairQueue.pop_front();
+                if (!repairQueue.empty()) {
+                    lease = std::move(repairQueue.front());
+                    repairQueue.pop_front();
+                    repair = true;
+                } else if (noFleetLocked() && !pending.empty()) {
+                    lease = std::move(pending.front());
+                    pending.pop_front();
+                } else {
+                    return;
+                }
+            }
+            if (!repair) {
+                runLocally(leaseToSpec(lease), lease.index);
+                continue;
             }
             ShardOutcome out = runHere(leaseToSpec(lease), lease.index);
-            std::string line = shardOutcomeToJson(out);
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                ++stats.localRuns;
-                std::size_t index = lease.index;
-                poisoned.erase(index);
-                std::string key = canonicalResultKey(out);
-                results[index] = Arrived{
-                    std::move(out), std::move(line), std::move(key),
-                    false, lease, true};
-                cv.notify_all();
-            }
-            ran = true;
-        }
-    }
-
-    /**
-     * Pop and execute pending leases while no worker can take them.
-     * Returns true if it ran anything.
-     */
-    bool
-    drainPendingLocally()
-    {
-        bool ran = false;
-        for (;;) {
-            ShardLease lease;
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (!noFleetLocked() || pending.empty())
-                    return ran;
-                lease = std::move(pending.front());
-                pending.pop_front();
-            }
-            runLocally(leaseToSpec(lease), lease.index);
-            ran = true;
+            std::lock_guard<std::mutex> lock(mutex);
+            ++stats.localRuns;
+            poisoned.erase(lease.index);
+            postLocked(lease.index, std::move(out));
         }
     }
 
@@ -926,49 +905,6 @@ FleetCoordinator::run()
     Impl &im = *_impl;
     const CoordinatorConfig &cfg = im.cfg;
 
-    // Resume pass: adoptable records, keyed by global shard index.
-    // Damaged records (CRC failure, torn tail) are self-healed by
-    // skipping: the counters surface how much was lost, the shards
-    // simply re-run.
-    std::map<std::size_t, ShardOutcome> adoptable;
-    if (cfg.resume) {
-        JournalLoadStats load_stats;
-        adoptable = loadAdoptable(cfg.journalPath, &load_stats);
-        im.stats.resumeCrcSkipped = load_stats.crcSkipped;
-        im.stats.resumeParseSkipped = load_stats.parseSkipped;
-    }
-
-    // Journal writer, optionally with injected disk faults underneath
-    // (chaos drills): the writer's own retry/degrade ladder is the
-    // code under test, so the faults go below it, not around it.
-    CampaignJournal::Policy journal_policy;
-    std::unique_ptr<chaos::DiskChaos> disk_chaos;
-    if (cfg.diskChaos.any()) {
-        disk_chaos = std::make_unique<chaos::DiskChaos>(
-            chaos::deriveSeed(cfg.chaosSeed, "disk:journal"),
-            cfg.diskChaos);
-        chaos::DiskChaos &dc = *disk_chaos;
-        journal_policy.writeFault =
-            [&dc](std::size_t len) -> JournalWriteFate {
-            chaos::DiskWriteFate fate = dc.writeFate(len);
-            return JournalWriteFate{fate.allow, fate.err};
-        };
-        journal_policy.syncFault = [&dc]() { return dc.syncFate(); };
-    }
-    CampaignJournal journal(cfg.journalPath, journal_policy);
-    if (journal.ok()) {
-        JsonWriter header;
-        header.beginObject();
-        header.key("v").value(1);
-        header.key("kind").value("header");
-        header.key("fleet").value(true);
-        header.key("expected_workers").value(cfg.expectedWorkers);
-        header.key("resumable")
-            .value(static_cast<std::uint64_t>(adoptable.size()));
-        header.endObject();
-        journal.append(header.str());
-    }
-
     if (cfg.expectedWorkers > 0 && im.listenFd >= 0) {
         im.acceptThread = std::thread([&im] { im.acceptLoop(); });
 
@@ -988,76 +924,25 @@ FleetCoordinator::run()
             });
     }
 
-    FeedbackLoop loop(im.source, cfg.campaign);
-    Clock::time_point start = Clock::now();
-    bool stopped = false;
-    std::vector<Impl::Arrived> ready;
-
-    for (;;) {
-        // Pull and stage every batch the pull rule admits right now,
-        // while the fleet has room, so a worker that reports finds a
-        // lease waiting. A source that answers "not yet" (its next
-        // batch needs feedback) is asked again after the next drain.
-        std::vector<std::pair<ShardSpec, std::size_t>> local_only;
-        {
-            std::lock_guard<std::mutex> lock(im.mutex);
-            while (im.mayPullLocked()) {
-                std::vector<ShardSpec> batch = im.window.pull();
-                if (batch.empty())
-                    break;
-                im.stageLocked(std::move(batch), adoptable, local_only);
-            }
-            if (im.window.empty())
-                break;
-        }
-        for (auto &[spec, index] : local_only)
-            im.runLocally(std::move(spec), index);
-        im.drainPendingLocally();
-        im.drainRepairs();
-
-        // Merge + journal + feedback for each complete batch at the
-        // front of the window, strictly in index order. After a stop,
-        // batches pulled ahead are never merged, journaled or reported.
-        while (!stopped && im.takeFront(ready)) {
-            double wall = secondsSince(start);
-            for (const Impl::Arrived &arrived : ready) {
-                if (!arrived.resumed && journal.ok())
-                    journal.append(arrived.line);
-            }
-            journal.flush(/*sync=*/true);
-            loop.beginRound();
-            for (const Impl::Arrived &arrived : ready)
-                loop.onOutcome(arrived.out, wall, arrived.resumed);
-            stopped = loop.stopRequested();
-        }
-        if (stopped)
-            break;
-
-        std::unique_lock<std::mutex> lock(im.mutex);
-        im.cv.wait_for(lock, std::chrono::milliseconds(100),
-                       [&im] { return im.driverWorkLocked(); });
-        im.reapSilentLocked();
-        im.releaseOverdueLocked();
-        im.topUpAllLocked();
-        im.enforceQuorumLocked();
-        im.expireQuorumLocked();
-    }
-
-    im.stats.halted = im.window.capped() && !stopped;
-    if (im.stats.halted)
-        loop.markInterrupted();
-
+    SupervisorConfig loop_cfg;
+    loop_cfg.campaign = mergePolicy(cfg.campaign);
+    loop_cfg.journalPath = cfg.journalPath;
+    loop_cfg.resume = cfg.resume;
+    JournalTriage journal;
+    AdaptiveCampaignResult adaptive =
+        runCampaignLoop(im.source, im, loop_cfg, cfg.maxRounds,
+                        cfg.journalPolicy, &journal);
     im.stopFleet();
-    journal.flush(/*sync=*/true);
-    im.stats.journalStatus = journal.status();
 
-    double wall = secondsSince(start);
-    unsigned jobs = cfg.expectedWorkers == 0
-                        ? 1u
-                        : std::max(1u, im.stats.workersSeen);
     FleetResult result = std::move(im.stats);
-    result.adaptive = loop.take(wall, jobs);
+    result.adaptive = std::move(adaptive);
+    result.adaptive.jobs = cfg.expectedWorkers == 0
+                               ? 1u
+                               : std::max(1u, result.workersSeen);
     result.campaign = result.adaptive;
+    result.resumeCrcSkipped = journal.resume.crcSkipped;
+    result.resumeParseSkipped = journal.resume.parseSkipped;
+    result.journalStatus = journal.writer;
     return result;
 }
 
@@ -1076,7 +961,7 @@ fleetTriageJson(const FleetResult &result)
     w.key("local_runs").value(result.localRuns);
     w.key("shards_resumed")
         .value(static_cast<std::uint64_t>(result.adaptive.shardsResumed));
-    w.key("halted").value(result.halted);
+    w.key("halted").value(result.adaptive.interrupted);
     w.key("frame_corruptions").value(result.frameCorruptions);
     w.key("digest_mismatches").value(result.digestMismatches);
     w.key("quorum_leases").value(result.quorumLeases);

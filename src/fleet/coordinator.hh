@@ -1,50 +1,47 @@
 /**
  * @file
- * Fleet coordinator: shards one adaptive campaign across worker
- * processes over TCP.
+ * Fleet coordinator: runs one campaign's shards on worker processes
+ * over TCP.
  *
- * The coordinator owns everything that must be centralized for the
- * campaign to stay deterministic — the ShardSource (and so the guided
- * scheduler's bandit state), the global shard index counter, the
- * append-only journal, and the FeedbackLoop — and distributes the one
- * thing that parallelizes perfectly: shard execution, which is a pure
- * function of (genome, scale, seed).
+ * The coordinator is the fleet executor of the one campaign loop
+ * (guidance/adaptive_campaign.hh). The loop owns everything that must
+ * be centralized for the campaign to stay deterministic — the
+ * ShardSource (and so the guided scheduler's bandit state), the global
+ * shard index counter, resume adoption, the append-only journal and
+ * the feedback — exactly as it does for in-process campaigns. The
+ * coordinator distributes the one thing that parallelizes perfectly:
+ * shard execution, which is a pure function of (genome, scale, seed).
+ * run() waits for the workers, makes one call to the loop, and reports
+ * the fleet's counters beside its result.
  *
- * Scheduling streams. The coordinator pulls batches through the same
- * pull rule and reorder window as the in-process loop (BatchWindow,
- * guidance/adaptive_campaign.hh): the source is asked for its next
- * batch whenever fewer shards are leased or pending than the alive
- * workers can hold (workers × queueDepth), so a freed queue slot is
- * refilled at once and no batch waits for its predecessor's straggler.
- * A source whose next batch depends on feedback it has not received
- * yet (guided always, explore while its frontier is short) answers
- * with an empty batch and is asked again once the oldest outstanding
- * batch drained; that answer, not the strategy, is what keeps a batch
- * barrier. Either way results arrive over sockets in arbitrary order
- * and wait, keyed by global shard index, until their batch is the
- * oldest one pulled and complete (every index answered, no quorum
- * cross-check pending). Then the batch drains — merge, journal and
- * feedback, strictly in global shard-index order — and the stop policy
- * runs at that batch boundary. That index-ordered drain is what makes
- * the guided scheduler's decision sequence, and every aggregate, a
- * pure function of the master seed, whatever the worker count, arrival
- * order, steal history, or resume state. Outcomes of batches pulled
- * ahead of a stop are never merged, journaled or reported.
+ * Scheduling streams. The loop pulls a batch whenever fewer shards are
+ * in flight than the alive workers can hold (workers × queueDepth), so
+ * a freed queue slot is refilled at once. Each submitted shard becomes
+ * a lease, queued until a worker has room. Results arrive over sockets
+ * in arbitrary order; the coordinator posts each index to the loop
+ * once its answer is trusted, and the loop merges, journals and
+ * reports batches strictly in global shard-index order. That
+ * index-ordered drain is what makes the guided scheduler's decision
+ * sequence, and every aggregate, a pure function of the master seed,
+ * whatever the worker count, arrival order, steal history, or resume
+ * state.
  *
  * Resilience: workers heartbeat; a worker that disconnects, dies, or
  * goes silent past the heartbeat timeout has its outstanding leases
  * returned to the pending queue and re-leased (work stealing's
  * recovery half). An idle worker may request work (Steal frame) and be
  * handed a duplicate of the oldest lease still outstanding elsewhere
- * (the proactive half); the first result for an index wins and
- * duplicates are dropped by the merge. With localFallback the
- * coordinator executes stranded leases itself through the same
- * ShardRunner a worker would use, so a campaign always completes even
- * if every worker dies.
+ * (the proactive half); the first answer for an index is posted and
+ * later ones are dropped as duplicates. With verifyQuorum, a sampled
+ * index is answered twice and posted only once both answers agree, or
+ * once the local re-run that settles a disagreement lands. With
+ * localFallback the coordinator executes stranded leases itself
+ * through the same ShardRunner a worker would use, so a campaign
+ * always completes even if every worker dies.
  *
  * expectedWorkers == 0 is the degenerate fleet: no socket is opened
  * and every lease runs locally, in index order, through the identical
- * lease → spec → ShardRunner → journal-line → merge path. That run is
+ * lease → spec → ShardRunner → result line → loop path. That run is
  * the bit-identity golden the distributed tests compare against.
  */
 
@@ -59,7 +56,6 @@
 #include "campaign/campaign.hh"
 #include "campaign/journal.hh"
 #include "campaign/supervisor.hh"
-#include "chaos/chaos.hh"
 #include "guidance/adaptive_campaign.hh"
 
 namespace drf::fleet
@@ -98,14 +94,18 @@ struct CoordinatorConfig : ShardPolicy
 
     /** Append-only JSONL journal; empty disables checkpointing. */
     std::string journalPath;
+    /** The journal writer's policy (chaos drills inject disk faults
+     *  through it; see chaos::diskChaosJournalPolicy). */
+    CampaignJournal::Policy journalPolicy;
     /** Adopt completed shards from journalPath before leasing. */
     bool resume = false;
 
     /** Execute stranded leases locally if the fleet empties. */
     bool localFallback = true;
 
-    /** Stop after this many batches (testing: interrupted-fleet
-     *  resume); 0 = run the source to completion. */
+    /** Stop after this many batches, marking the campaign interrupted
+     *  (testing: interrupted-fleet resume); 0 = run the source to
+     *  completion. */
     std::size_t maxRounds = 0;
 
     /**
@@ -119,10 +119,8 @@ struct CoordinatorConfig : ShardPolicy
      */
     unsigned verifyQuorum = 0;
 
-    /** Disk fault rates injected under the coordinator's journal
-     *  writer; all-zero disables injection. */
-    chaos::DiskRates diskChaos;
-    /** Master seed for the coordinator's chaos streams. */
+    /** Master seed of the forked workers' wire chaos streams (see
+     *  LocalFleetConfig::wireChaos). */
     std::uint64_t chaosSeed = 0;
 };
 
@@ -142,7 +140,6 @@ struct FleetResult
     std::uint64_t releases = 0;     ///< re-leases (death + steal)
     std::uint64_t duplicateResults = 0;
     std::uint64_t localRuns = 0; ///< leases executed by the coordinator
-    bool halted = false; ///< stopped by maxRounds, source not drained
 
     // Integrity detections (what the stack *caught* — every injected
     // corruption must land in one of these, never in the aggregates).
@@ -190,7 +187,8 @@ class FleetCoordinator
     /** Port actually bound (after listen(); 0 in local mode). */
     unsigned short boundPort() const;
 
-    /** Run the campaign to completion or halt. Call once. */
+    /** Run the campaign to completion or halt (maxRounds marks
+     *  adaptive.interrupted). Call once. */
     FleetResult run();
 
   private:

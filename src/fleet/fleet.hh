@@ -14,6 +14,7 @@
 #ifndef DRF_FLEET_FLEET_HH
 #define DRF_FLEET_FLEET_HH
 
+#include "chaos/chaos.hh"
 #include "fleet/coordinator.hh"
 
 namespace drf::fleet

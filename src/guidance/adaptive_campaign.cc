@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "campaign/campaign_json.hh"
-#include "campaign/journal.hh"
 #include "campaign/thread_pool.hh"
 
 namespace drf
@@ -46,109 +45,146 @@ combinedDigest(const std::optional<CoverageGrid> &l1,
     return h;
 }
 
-/** The merge policy of an adaptive campaign. */
-CampaignConfig
-mergeConfig(const AdaptiveCampaignConfig &cfg)
-{
-    CampaignConfig merge_cfg;
-    merge_cfg.jobs = cfg.jobs;
-    // The loop stops on the first failure of any class.
-    merge_cfg.stopOnFailure = cfg.stopOnFailure;
-    merge_cfg.stopOnHostFailure = cfg.stopOnFailure;
-    merge_cfg.saturationPct = cfg.saturationPct;
-    merge_cfg.coverageTestType = cfg.coverageTestType;
-    return merge_cfg;
-}
-
-} // namespace
-
-FeedbackLoop::FeedbackLoop(ShardSource &source,
-                           const CampaignConfig &merge_cfg)
-    : _source(source), _merge(merge_cfg, 0)
-{
-}
-
-FeedbackLoop::FeedbackLoop(ShardSource &source,
-                           const AdaptiveCampaignConfig &cfg)
-    : FeedbackLoop(source, mergeConfig(cfg))
-{
-}
-
-void
-FeedbackLoop::beginRound()
-{
-    ++_rounds;
-}
-
-void
-FeedbackLoop::onOutcome(const ShardOutcome &out, double wall_seconds,
-                        bool resumed)
-{
-    const ShardDelta delta = _merge.add(out, wall_seconds, resumed);
-    if (!out.result.passed && !_failed) {
-        _failed = true;
-        _failurePreset = _source.presetForSeed(out.seed);
-    }
-
-    ShardFeedback fb;
-    fb.episodes = out.result.episodes;
-    fb.actions = out.result.loadsChecked + out.result.storesRetired +
-                 out.result.atomicsChecked;
-    fb.newL1Cells = delta.newL1Cells;
-    fb.newL2Cells = delta.newL2Cells;
-    fb.unionL1Active = delta.unionL1Active;
-    fb.unionL2Active = delta.unionL2Active;
-    fb.passed = out.result.passed;
-    _source.report(out, fb);
-}
-
-AdaptiveCampaignResult
-FeedbackLoop::take(double wall_seconds, unsigned jobs)
-{
-    _merge.setJobs(jobs);
-    AdaptiveCampaignResult res;
-    static_cast<CampaignResult &>(res) = _merge.take(wall_seconds);
-    res.strategy = _source.strategy();
-    res.rounds = _rounds;
-    if (res.firstFailure)
-        res.firstFailureClass = res.firstFailure->failureClass;
-    res.failurePreset = std::move(_failurePreset);
-    res.unionDigest = combinedDigest(res.l1Union, res.l2Union);
-    res.decisions = _source.decisions();
-    res.predictTriage = _source.predictTriage();
-    return res;
-}
-
-namespace
-{
-
 /**
- * Pool workers hand finished shards to the driving thread through this
- * mailbox. A shard skipped after a stop posts nullopt, so its batch
- * still completes.
+ * The feedback half of the campaign loop. Every outcome goes through
+ * one ShardMerge, which builds the campaign aggregates (union
+ * coverage, curve, totals, first failure, the failure and saturation
+ * stop). This keeps only what a merge cannot know: the index-ordered
+ * report() to the source with its ShardFeedback, the round count, the
+ * failing shard's preset, the union digest, the decision log and the
+ * predict triage. Call beginRound() for each batch, feed its outcomes
+ * strictly in global shard-index order, then check stopRequested().
+ * Because per-shard results are bit-exact functions of (configuration,
+ * seed), the result is then identical however the outcomes were
+ * actually computed — threads, worker processes, remote hosts, or a
+ * resume journal.
  */
-class Mailbox
+class FeedbackLoop
 {
   public:
-    using Post = std::pair<std::size_t, std::optional<ShardOutcome>>;
-
-    void
-    post(std::size_t index, std::optional<ShardOutcome> out)
+    /** @p merge_cfg is the merge policy (its jobs field is unused). */
+    FeedbackLoop(ShardSource &source, const CampaignConfig &merge_cfg)
+        : _source(source), _merge(merge_cfg, 0)
     {
-        {
-            std::lock_guard<std::mutex> lock(_mutex);
-            _posts.emplace_back(index, std::move(out));
-        }
-        _cv.notify_one();
     }
 
+    /** Account one non-empty batch pulled from the source. */
+    void beginRound() { ++_rounds; }
+
     /**
-     * Take everything posted, blocking until something was. With
-     * @p poll, give up after a short wait so the caller can check for
-     * a termination signal; the result may then be empty.
+     * Feed one completed shard, global index order. @p wall_seconds
+     * stamps the curve point (a per-run field, excluded from the
+     * deterministic aggregate subset); @p resumed marks an outcome
+     * adopted from a journal.
      */
+    void
+    onOutcome(const ShardOutcome &out, double wall_seconds, bool resumed)
+    {
+        const ShardDelta delta = _merge.add(out, wall_seconds, resumed);
+        if (!out.result.passed && !_failed) {
+            _failed = true;
+            _failurePreset = _source.presetForSeed(out.seed);
+        }
+
+        ShardFeedback fb;
+        fb.episodes = out.result.episodes;
+        fb.actions = out.result.loadsChecked + out.result.storesRetired +
+                     out.result.atomicsChecked;
+        fb.newL1Cells = delta.newL1Cells;
+        fb.newL2Cells = delta.newL2Cells;
+        fb.unionL1Active = delta.unionL1Active;
+        fb.unionL2Active = delta.unionL2Active;
+        fb.passed = out.result.passed;
+        _source.report(out, fb);
+    }
+
+    /** True once failure/saturation policy says to stop pulling. */
+    bool stopRequested() const { return _merge.stopRequested(); }
+
+    /** The campaign halted before its source ran dry. */
+    void markInterrupted() { _merge.markInterrupted(); }
+
+    /** Finalize: unions, digest, decision log. Call once. */
+    AdaptiveCampaignResult
+    take(double wall_seconds)
+    {
+        AdaptiveCampaignResult res;
+        static_cast<CampaignResult &>(res) = _merge.take(wall_seconds);
+        res.strategy = _source.strategy();
+        res.rounds = _rounds;
+        if (res.firstFailure)
+            res.firstFailureClass = res.firstFailure->failureClass;
+        res.failurePreset = std::move(_failurePreset);
+        res.unionDigest = combinedDigest(res.l1Union, res.l2Union);
+        res.decisions = _source.decisions();
+        res.predictTriage = _source.predictTriage();
+        return res;
+    }
+
+  private:
+    ShardSource &_source;
+    ShardMerge _merge;
+    std::size_t _rounds = 0;
+    std::optional<GpuTestPreset> _failurePreset;
+    bool _failed = false;
+};
+
+/**
+ * The in-process executor: shards run on one work-stealing pool,
+ * started by the first submit, each through one ShardRunner. Pool
+ * workers post finished shards to the driving thread; a shard skipped
+ * after a stop posts nullopt, so its batch still completes.
+ */
+class PoolExecutor final : public ShardExecutor
+{
+  public:
+    explicit PoolExecutor(const SupervisorConfig &cfg)
+        : _stopPolicy(cfg.campaign),
+          _jobs(cfg.campaign.jobs != 0 ? cfg.campaign.jobs
+                                       : ThreadPool::defaultThreads()),
+          _runner(cfg)
+    {
+        _runner.setStopCheck([this] {
+            return _skipFrom.load(std::memory_order_acquire) == 0;
+        });
+    }
+
+    /** Shards of discarded batches may still be running: drop the
+     *  queued ones, then the pool joins the rest. */
+    ~PoolExecutor() override
+    {
+        if (_pool)
+            _pool->cancelPending();
+    }
+
+    void
+    submit(ShardSpec spec, std::size_t index) override
+    {
+        if (!_pool)
+            _pool.emplace(_jobs);
+        _pool->submit([this, index, spec = std::move(spec)]() mutable {
+            if (index >= _skipFrom.load(std::memory_order_acquire)) {
+                post(index, std::nullopt);
+                return;
+            }
+            ShardOutcome out = _runner.run(std::move(spec), index);
+            if (!out.result.passed &&
+                stopsCampaign(_stopPolicy, out.result.failureClass)) {
+                std::size_t cur = _skipFrom.load();
+                while (index + 1 < cur &&
+                       !_skipFrom.compare_exchange_weak(cur, index + 1)) {
+                }
+            }
+            post(index, std::move(out));
+        });
+    }
+
+    std::size_t capacity() override { return _jobs; }
+
+    /** With @p poll, give up after 20 ms so the caller can check for a
+     *  termination signal. */
     std::vector<Post>
-    wait(bool poll)
+    wait(bool poll) override
     {
         std::unique_lock<std::mutex> lock(_mutex);
         auto posted = [this] { return !_posts.empty(); };
@@ -159,10 +195,39 @@ class Mailbox
         return std::exchange(_posts, {});
     }
 
+    void
+    stop() override
+    {
+        _skipFrom.store(0, std::memory_order_release);
+    }
+
+    /** Pool threads started; 0 when no shard was submitted. */
+    unsigned threads() const { return _pool ? _pool->threadCount() : 0; }
+
   private:
+    void
+    post(std::size_t index, std::optional<ShardOutcome> out)
+    {
+        {
+            std::lock_guard<std::mutex> lock(_mutex);
+            _posts.emplace_back(index, std::move(out));
+        }
+        _cv.notify_one();
+    }
+
+    const CampaignConfig _stopPolicy;
+    const unsigned _jobs;
+    // A shard whose global index is at or past this skips itself when
+    // it would start: lowered past a shard whose failure stops the
+    // merge (so everything up to it still runs, at any jobs), and to 0
+    // by stop().
+    std::atomic<std::size_t> _skipFrom{SIZE_MAX};
+    ShardRunner _runner;
     std::mutex _mutex;
     std::condition_variable _cv;
-    std::vector<Post> _posts;
+    std::vector<Post> _posts; ///< guarded by _mutex
+    // Declared after everything its jobs touch, so it drains first.
+    std::optional<ThreadPool> _pool;
 };
 
 /** Issues a fixed shard list, each spec as its own one-shard batch. */
@@ -190,7 +255,30 @@ class ShardListSource : public ShardSource
     std::size_t _next = 0;
 };
 
+/** The campaign loop on a pool executor under @p cfg. */
+AdaptiveCampaignResult
+runPooled(ShardSource &source, const SupervisorConfig &cfg)
+{
+    PoolExecutor executor(cfg);
+    AdaptiveCampaignResult res = runCampaignLoop(source, executor, cfg);
+    res.jobs = executor.threads();
+    return res;
+}
+
 } // namespace
+
+CampaignConfig
+mergePolicy(const AdaptiveCampaignConfig &cfg)
+{
+    CampaignConfig merge_cfg;
+    merge_cfg.jobs = cfg.jobs;
+    // The loop stops on the first failure of any class.
+    merge_cfg.stopOnFailure = cfg.stopOnFailure;
+    merge_cfg.stopOnHostFailure = cfg.stopOnFailure;
+    merge_cfg.saturationPct = cfg.saturationPct;
+    merge_cfg.coverageTestType = cfg.coverageTestType;
+    return merge_cfg;
+}
 
 BatchWindow::BatchWindow(ShardSource &source, std::size_t max_batches)
     : _source(source), _maxBatches(max_batches)
@@ -239,27 +327,23 @@ BatchWindow::capped() const
     return !_exhausted && _maxBatches != 0 && _pulled >= _maxBatches;
 }
 
-namespace
-{
-
-/**
- * The one in-process campaign loop: @p source's shards run on one pool
- * through one ShardRunner, and cfg.campaign is the merge policy.
- */
 AdaptiveCampaignResult
-runLoop(ShardSource &source, const SupervisorConfig &cfg)
+runCampaignLoop(ShardSource &source, ShardExecutor &executor,
+                const SupervisorConfig &cfg, std::size_t max_batches,
+                const CampaignJournal::Policy &journal_policy,
+                JournalTriage *triage)
 {
     FeedbackLoop loop(source, cfg.campaign);
-    BatchWindow window(source);
-    const unsigned jobs = cfg.campaign.jobs != 0
-                              ? cfg.campaign.jobs
-                              : ThreadPool::defaultThreads();
+    BatchWindow window(source, max_batches);
 
+    // Damaged records (CRC failure, torn tail) are self-healed by
+    // skipping: the counters say how much was lost, the shards re-run.
+    JournalLoadStats resume_stats;
     std::map<std::size_t, ShardOutcome> adoptable;
     if (cfg.resume)
-        adoptable = loadAdoptable(cfg.journalPath);
+        adoptable = loadAdoptable(cfg.journalPath, &resume_stats);
     // Open for appending only after the resume pass read the file.
-    CampaignJournal journal(cfg.journalPath);
+    CampaignJournal journal(cfg.journalPath, journal_policy);
     if (journal.ok()) {
         JsonWriter header;
         header.beginObject();
@@ -273,18 +357,8 @@ runLoop(ShardSource &source, const SupervisorConfig &cfg)
     SignalGuard signals(cfg.handleSignals);
     Clock::time_point start = Clock::now();
 
-    // A shard whose global index is at or past this skips itself when
-    // it would start: lowered past a shard whose failure stops the
-    // merge (so everything up to it still runs, at any jobs), and to 0
-    // once the loop stops or is interrupted.
-    std::atomic<std::size_t> skipFrom{SIZE_MAX};
-    ShardRunner runner(cfg);
-    runner.setStopCheck([&skipFrom] {
-        return skipFrom.load(std::memory_order_acquire) == 0;
-    });
-    Mailbox mailbox;
-    // Outcomes of undrained batches, by global index: posted by a
-    // worker (nullopt: the shard skipped itself) or adopted from the
+    // Outcomes of undrained batches, by global index: posted by the
+    // executor (nullopt: the shard was skipped) or adopted from the
     // journal.
     struct Arrived
     {
@@ -294,8 +368,7 @@ runLoop(ShardSource &source, const SupervisorConfig &cfg)
     std::map<std::size_t, Arrived> arrived;
     std::size_t running = 0; ///< submitted shards not yet posted
     bool interrupted = false;
-    // Declared after everything its jobs touch, so it drains first.
-    std::optional<ThreadPool> pool;
+    bool stop = false;
 
     // Every ShardSource call below stays on this driving thread.
     auto submit = [&](std::vector<ShardSpec> batch) {
@@ -308,25 +381,7 @@ runLoop(ShardSource &source, const SupervisorConfig &cfg)
                 arrived[index++] = {std::move(adopt->second), true};
                 continue;
             }
-            if (!pool)
-                pool.emplace(jobs);
-            pool->submit([&, index = index++,
-                          spec = std::move(spec)]() mutable {
-                if (index >= skipFrom.load(std::memory_order_acquire)) {
-                    mailbox.post(index, std::nullopt);
-                    return;
-                }
-                ShardOutcome out = runner.run(std::move(spec), index);
-                if (!out.result.passed &&
-                    stopsCampaign(cfg.campaign, out.result.failureClass)) {
-                    std::size_t cur = skipFrom.load();
-                    while (index + 1 < cur &&
-                           !skipFrom.compare_exchange_weak(cur,
-                                                           index + 1)) {
-                    }
-                }
-                mailbox.post(index, std::move(out));
-            });
+            executor.submit(std::move(spec), index++);
             ++running;
         }
     };
@@ -336,18 +391,23 @@ runLoop(ShardSource &source, const SupervisorConfig &cfg)
         // Drain complete batches in index order: the source sees the
         // same stream, the journal gets the same lines, and the stop
         // policy runs at the same batch boundaries, as under a barrier.
-        bool stop = false;
+        // Each drained batch is synced to disk, so it is resumable
+        // before the next shard is issued.
         while (!stop && window.frontDone(posted)) {
+            const BatchWindow::Range batch = window.front();
+            for (std::size_t i = batch.first; i < batch.end; ++i) {
+                const Arrived &a = arrived[i];
+                if (a.out && !a.resumed && journal.ok())
+                    journal.append(shardOutcomeToJson(*a.out));
+            }
+            journal.flush(/*sync=*/true);
             loop.beginRound();
-            for (std::size_t i = window.front().first;
-                 i < window.front().end; ++i) {
+            const double wall = secondsSince(start);
+            for (std::size_t i = batch.first; i < batch.end; ++i) {
                 auto it = arrived.find(i);
-                if (const std::optional<ShardOutcome> &out = it->second.out) {
-                    if (!it->second.resumed && journal.ok())
-                        journal.append(shardOutcomeToJson(*out));
-                    loop.onOutcome(*out, secondsSince(start),
+                if (it->second.out)
+                    loop.onOutcome(*it->second.out, wall,
                                    it->second.resumed);
-                }
                 arrived.erase(it);
             }
             window.popFront();
@@ -355,13 +415,12 @@ runLoop(ShardSource &source, const SupervisorConfig &cfg)
         }
         if (stop) {
             // Batches pulled ahead are never reported or counted.
-            skipFrom.store(0, std::memory_order_release);
-            if (pool)
-                pool->cancelPending();
+            executor.stop();
             break;
         }
 
-        while (!interrupted && window.mayPull(running, jobs)) {
+        while (!interrupted &&
+               window.mayPull(running, executor.capacity())) {
             std::vector<ShardSpec> batch = window.pull();
             if (batch.empty())
                 break;
@@ -372,36 +431,36 @@ runLoop(ShardSource &source, const SupervisorConfig &cfg)
         if (window.frontDone(posted))
             continue; // completed by adopted outcomes alone
 
-        for (Mailbox::Post &post : mailbox.wait(cfg.handleSignals)) {
+        for (ShardExecutor::Post &post : executor.wait(cfg.handleSignals)) {
             --running;
             arrived[post.first].out = std::move(post.second);
         }
         if (!interrupted && signals.caught()) {
             // Graceful shutdown: pull nothing more, let unstarted
-            // shards skip themselves and running ones finish, and
-            // drain what completes.
+            // shards be skipped and running ones finish, and drain
+            // what completes.
             interrupted = true;
-            skipFrom.store(0, std::memory_order_release);
+            executor.stop();
         }
     }
-    // A signal that arrived after the last poll still counts.
-    if (signals.caught())
+    // A signal that arrived after the last poll still counts, and so
+    // does a batch cap that left the source undrained.
+    if (signals.caught() || (window.capped() && !stop))
         loop.markInterrupted();
     journal.flush(/*sync=*/true);
-
-    const unsigned used = pool ? pool->threadCount() : 0;
-    pool.reset(); // shards of discarded batches may still be running
-    return loop.take(secondsSince(start), used);
+    if (triage) {
+        triage->resume = resume_stats;
+        triage->writer = journal.status();
+    }
+    return loop.take(secondsSince(start));
 }
-
-} // namespace
 
 AdaptiveCampaignResult
 runAdaptiveCampaign(ShardSource &source, const AdaptiveCampaignConfig &cfg)
 {
     SupervisorConfig supervised;
-    supervised.campaign = mergeConfig(cfg);
-    return runLoop(source, supervised);
+    supervised.campaign = mergePolicy(cfg);
+    return runPooled(source, supervised);
 }
 
 CampaignResult
@@ -416,7 +475,7 @@ runSupervisedCampaign(std::vector<ShardSpec> shards,
     capped.campaign.jobs =
         static_cast<unsigned>(std::min<std::size_t>(jobs, planned));
     ShardListSource source(std::move(shards));
-    CampaignResult res = runLoop(source, capped);
+    CampaignResult res = runPooled(source, capped);
     res.shardsPlanned = planned;
     res.shardsSkipped = planned - res.shardsRun;
     return res;

@@ -1,31 +1,34 @@
 /**
  * @file
- * The one in-process campaign loop: ShardSource in, campaign batches
- * out.
+ * The one campaign loop: ShardSource in, campaign batches out, on any
+ * shard executor.
  *
- * runAdaptiveCampaign() pulls batches from the source and runs their
- * shards on one work-stealing pool (src/campaign/) that lives for the
- * whole campaign, each through one ShardRunner (campaign/supervisor.hh)
- * — the shard barrier fleet workers use too. runCampaign and
- * runSupervisedCampaign run a fixed shard list on the same loop: the
- * list becomes a source that issues each shard as its own batch.
+ * runCampaignLoop() pulls batches from the source and hands their
+ * shards to a ShardExecutor, which hides where they run. There are two
+ * executors. The pool executor (runAdaptiveCampaign, and runCampaign
+ * and runSupervisedCampaign, which run a fixed shard list as a source
+ * that issues each shard as its own batch) runs shards on one
+ * work-stealing pool (src/campaign/) that lives for the whole
+ * campaign, each through one ShardRunner (campaign/supervisor.hh) —
+ * the shard barrier fleet workers use too. The fleet executor
+ * (fleet/coordinator.hh) leases them to worker processes over TCP.
+ *
  * Finished shards wait in a reorder buffer; each batch is fed back
  * once it is complete, in global shard-index order, with its
  * newly-covered-cell counts computed against the cross-batch union.
- * The source is asked for its next batch as soon as a worker would
+ * The source is asked for its next batch as soon as the executor would
  * otherwise go idle, whatever its strategy; it answers with an empty
  * batch while that batch depends on feedback it has not received yet
  * (guided always, explore while its frontier is short), and is asked
- * again after the next batch drains. So a straggler idles the pool
- * only when the source itself has nothing to issue. That pull rule and
- * the reorder window live in BatchWindow, which the fleet coordinator
- * (src/fleet) schedules through as well.
+ * again after the next batch drains. So a straggler idles the
+ * executor only when the source itself has nothing to issue. That pull
+ * rule and the reorder window live in BatchWindow.
  *
  * Checkpointing lives in the loop as well (SupervisorConfig): each
- * merged shard is appended to the journal at drain time, in index
- * order; on resume, a journaled outcome is adopted in place of running
- * its shard; and a caught SIGINT/SIGTERM stops the pulls, lets running
- * shards finish and drains them.
+ * drained batch is appended to the journal in index order and flushed
+ * with an fsync; on resume, a journaled outcome is adopted in place of
+ * running its shard; and a caught SIGINT/SIGTERM stops the pulls, lets
+ * running shards finish and drains them.
  *
  * Determinism contract: per-shard results are bit-exact functions of
  * (configuration, seed); the source only ever observes the
@@ -34,19 +37,24 @@
  * pulled. Outcomes of batches pulled ahead of a stop are discarded:
  * never reported, never counted. Therefore two runs with the same
  * master seed produce the identical shard schedule, decision log,
- * saturation curve and union-coverage digest at any worker count, and
- * a fixed list stops at the same shard. (After a failure that stops
- * the campaign, unstarted shards of the failing batch past the failure
- * are skipped; whether a higher-index shard of that batch had already
- * started is completion-order dependent at jobs > 1 — everything up to
- * and including the first failure is still reproducible.)
+ * saturation curve and union-coverage digest on any executor, at any
+ * thread or worker count, and a fixed list stops at the same shard.
+ * (After a failure that stops the campaign, the pool executor skips
+ * unstarted shards of the failing batch past the failure; whether a
+ * higher-index shard of that batch had already started is
+ * completion-order dependent at jobs > 1 — everything up to and
+ * including the first failure is still reproducible.)
  */
 
 #ifndef DRF_GUIDANCE_ADAPTIVE_CAMPAIGN_HH
 #define DRF_GUIDANCE_ADAPTIVE_CAMPAIGN_HH
 
 #include <deque>
+#include <optional>
+#include <utility>
+#include <vector>
 
+#include "campaign/journal.hh"
 #include "campaign/supervisor.hh"
 #include "guidance/sources.hh"
 #include "tester/tester_failure.hh"
@@ -109,75 +117,20 @@ struct AdaptiveCampaignResult : CampaignResult
 };
 
 /**
- * The feedback half of the campaign loop, shared by the single-process
- * runner (runAdaptiveCampaign) and the fleet coordinator (src/fleet).
- * Every outcome goes through one ShardMerge, which builds the campaign
- * aggregates (union coverage, curve, totals, first failure, the
- * failure and saturation stop). The loop
- * keeps only what a merge cannot know: the index-ordered report() to
- * the source with its ShardFeedback, the round count, the failing
- * shard's preset, the union digest, the decision log and the predict
- * triage. Call beginRound() for each batch, feed its outcomes strictly
- * in global shard-index order, then check stopRequested(). Later
- * batches may already be running (pulled ahead under BatchWindow's
- * rule), but none of their outcomes may be fed before that check.
- * Because per-shard results are bit-exact functions of (configuration,
- * seed), the resulting AdaptiveCampaignResult is then identical however
- * the outcomes were actually computed — threads, worker processes,
- * remote hosts, or a resume journal.
- */
-class FeedbackLoop
-{
-  public:
-    /** @p merge_cfg is the merge policy (its jobs field is unused). */
-    FeedbackLoop(ShardSource &source, const CampaignConfig &merge_cfg);
-    FeedbackLoop(ShardSource &source, const AdaptiveCampaignConfig &cfg);
-
-    /** Account one non-empty batch pulled from the source. */
-    void beginRound();
-
-    /**
-     * Feed one completed shard, global index order. @p wall_seconds
-     * stamps the curve point (a per-run field, excluded from the
-     * deterministic aggregate subset); @p resumed marks an outcome
-     * adopted from a journal.
-     */
-    void onOutcome(const ShardOutcome &out, double wall_seconds,
-                   bool resumed = false);
-
-    /** True once failure/saturation policy says to stop pulling. */
-    bool stopRequested() const { return _merge.stopRequested(); }
-
-    /** The campaign halted before its source ran dry. */
-    void markInterrupted() { _merge.markInterrupted(); }
-
-    /** Finalize: unions, digest, decision log. Call once. */
-    AdaptiveCampaignResult take(double wall_seconds, unsigned jobs);
-
-  private:
-    ShardSource &_source;
-    ShardMerge _merge;
-    std::size_t _rounds = 0;
-    std::optional<GpuTestPreset> _failurePreset;
-    bool _failed = false;
-};
-
-/**
- * The scheduling half of the adaptive loop, shared by
- * runAdaptiveCampaign and the fleet coordinator (src/fleet): the pull
- * rule that decides when the source is asked for its next batch, and
- * the reorder window of batches pulled but not yet drained. Outcomes
- * themselves stay with the caller, keyed by global shard index; the
- * window only says which index range drains next.
+ * The scheduling half of the campaign loop: the pull rule that decides
+ * when the source is asked for its next batch, and the reorder window
+ * of batches pulled but not yet drained. Outcomes themselves stay with
+ * the loop, keyed by global shard index; the window only says which
+ * index range drains next.
  *
  * The pull rule asks the source whenever fewer shards are in flight
- * than the executors can hold, so no batch waits for its predecessor's
+ * than the executor can hold, so no batch waits for its predecessor's
  * straggler, and lets the source's answer decide: an empty batch while
  * pulled batches are still undrained means "not yet" (its next batch
  * depends on their feedback), and the source is not asked again until
  * the next popFront(); an empty batch with nothing undrained means the
- * source ran dry. Batches drain strictly in pull order, each through
- * FeedbackLoop in global index order.
+ * source ran dry. Batches drain strictly in pull order, each in global
+ * index order.
  */
 class BatchWindow
 {
@@ -256,13 +209,77 @@ class BatchWindow
     bool _waiting = false; ///< answered "not yet"; ask after popFront()
 };
 
-/** Drive @p source to completion under @p cfg. */
+/**
+ * Where a campaign's shards run. The loop hands every shard it does
+ * not adopt from the journal to submit() and learns of finished ones
+ * only through wait(), so it never sees threads, processes or sockets.
+ * Every call comes from the loop's driving thread.
+ */
+class ShardExecutor
+{
+  public:
+    /** A finished shard: its global index and outcome, or nullopt for
+     *  a shard skipped after stop(). */
+    using Post = std::pair<std::size_t, std::optional<ShardOutcome>>;
+
+    ShardExecutor() = default;
+    virtual ~ShardExecutor() = default;
+    ShardExecutor(const ShardExecutor &) = delete;
+    ShardExecutor &operator=(const ShardExecutor &) = delete;
+
+    /** Run @p spec as global shard @p index. Exactly one post answers
+     *  it, once its outcome is trusted. */
+    virtual void submit(ShardSpec spec, std::size_t index) = 0;
+
+    /** Shards the executor can hold at once: the pull rule's bound. */
+    virtual std::size_t capacity() = 0;
+
+    /**
+     * Take the posts that arrived, blocking until one did. With
+     * @p poll, or when the executor has upkeep of its own to do, it
+     * returns after a short wait, possibly with nothing.
+     */
+    virtual std::vector<Post> wait(bool poll) = 0;
+
+    /** Start nothing more: every submitted shard not yet started (or
+     *  leased) posts nullopt; the rest finish and post their outcome. */
+    virtual void stop() = 0;
+};
+
+/** What the loop's journal did: what the resume pass skipped, and the
+ *  writer's health at the end of the campaign. */
+struct JournalTriage
+{
+    JournalLoadStats resume;
+    JournalStatus writer;
+};
+
+/**
+ * The campaign loop: drive @p source to completion on @p executor.
+ * cfg.campaign is the merge and stop policy; cfg.journalPath,
+ * cfg.resume and cfg.handleSignals are the checkpoint and shutdown
+ * policy (the rest of @p cfg is the executor's business). The journal
+ * is written through @p journal_policy. @p max_batches caps the
+ * batches pulled (0: none); a campaign stopped by the cap is
+ * interrupted. The result's jobs is left 0 for the caller to fill in.
+ * With @p triage, it receives the journal's load and write counters.
+ */
+AdaptiveCampaignResult
+runCampaignLoop(ShardSource &source, ShardExecutor &executor,
+                const SupervisorConfig &cfg, std::size_t max_batches = 0,
+                const CampaignJournal::Policy &journal_policy = {},
+                JournalTriage *triage = nullptr);
+
+/** The merge and stop policy of an adaptive campaign under @p cfg. */
+CampaignConfig mergePolicy(const AdaptiveCampaignConfig &cfg);
+
+/** Drive @p source to completion on the pool executor under @p cfg. */
 AdaptiveCampaignResult
 runAdaptiveCampaign(ShardSource &source,
                     const AdaptiveCampaignConfig &cfg = {});
 
 /**
- * Run a fixed shard list on the campaign loop under @p cfg's
+ * Run a fixed shard list on the pool executor under @p cfg's
  * supervision, journal and signal policy; blocks until every shard
  * ran, an early stop or an interrupt skipped the rest. Each shard is
  * its own batch, so the stop policy runs after every shard in index

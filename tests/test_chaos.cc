@@ -619,9 +619,10 @@ TEST(ChaosFleet, DiskChaosDegradesJournalButNotTheCampaign)
     LocalFleetConfig cfg;
     cfg.workers = 0;
     cfg.coordinator.journalPath = journal;
-    cfg.coordinator.diskChaos.shortWritePct = 35;
-    cfg.coordinator.diskChaos.fsyncFailPct = 25;
-    cfg.coordinator.chaosSeed = 7;
+    chaos::DiskRates rates;
+    rates.shortWritePct = 35;
+    rates.fsyncFailPct = 25;
+    cfg.coordinator.journalPolicy = chaos::diskChaosJournalPolicy(7, rates);
 
     ChaosRun chaotic = runChaosFleet(21, cfg);
     ASSERT_TRUE(chaotic.result.adaptive.passed);

@@ -573,14 +573,14 @@ TEST(Fleet, HaltedFleetResumesBitIdentically)
     // Phase 1: stop after one round, journaling.
     FleetRun halted = runFleet("guided", 33, /*workers=*/0, 0, journal,
                                /*resume=*/false, /*max_rounds=*/1);
-    EXPECT_TRUE(halted.result.halted);
+    EXPECT_TRUE(halted.result.adaptive.interrupted);
     EXPECT_EQ(3u, halted.result.adaptive.shardsRun);
 
     // Phase 2: resume the same campaign — this time over two workers,
     // so adoption and distribution compose.
     FleetRun resumed = runFleet("guided", 33, /*workers=*/2, 0, journal,
                                 /*resume=*/true);
-    EXPECT_FALSE(resumed.result.halted);
+    EXPECT_FALSE(resumed.result.adaptive.interrupted);
     EXPECT_EQ(3u, resumed.result.adaptive.shardsResumed);
     EXPECT_EQ(6u, resumed.result.adaptive.shardsRun);
     EXPECT_EQ(golden.aggregates, resumed.aggregates)
@@ -857,7 +857,7 @@ TEST(FleetStreaming, OneRoundPullsOneBatchAndResumesBitIdentically)
     cfg.journalPath = journal;
     cfg.maxRounds = 1;
     FleetResult halted = runThreadFleet(source, cfg, 2);
-    EXPECT_TRUE(halted.halted);
+    EXPECT_TRUE(halted.adaptive.interrupted);
     EXPECT_EQ(1u, source.pulls);
     EXPECT_EQ(3u, halted.adaptive.shardsRun);
     EXPECT_EQ(iota(3), journaledIndices(journal));
@@ -866,7 +866,7 @@ TEST(FleetStreaming, OneRoundPullsOneBatchAndResumesBitIdentically)
     cfg.maxRounds = 0;
     cfg.resume = true;
     FleetResult resumed = runThreadFleet(*second, cfg, 2);
-    EXPECT_FALSE(resumed.halted);
+    EXPECT_FALSE(resumed.adaptive.interrupted);
     EXPECT_EQ(3u, resumed.adaptive.shardsResumed);
     EXPECT_EQ(12u, resumed.adaptive.shardsRun);
     EXPECT_EQ(iota(12), journaledIndices(journal));
@@ -924,6 +924,58 @@ TEST(FleetStreaming, QuorumComparesEveryShardWhileBatchesOverlap)
     std::sort(diverged.begin(), diverged.end());
     EXPECT_EQ((std::vector<std::size_t>{0, 2, 4, 6, 8, 10}), diverged);
     EXPECT_EQ(golden, aggregatesOf(result));
+}
+
+// ---------------------------------------------------------------------
+// One campaign, four executors: a pool at jobs 1 and 4, the degenerate
+// fleet, and two worker threads over sockets.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** @p strategy's aggregates on each executor, labelled. */
+std::vector<std::pair<std::string, std::string>>
+aggregatesOnEveryExecutor(const std::string &strategy,
+                          const SourceConfig &src_cfg)
+{
+    std::vector<std::pair<std::string, std::string>> runs;
+    for (unsigned jobs : {1u, 4u}) {
+        std::unique_ptr<ShardSource> source = makeSource(strategy, src_cfg);
+        AdaptiveCampaignConfig cfg;
+        cfg.jobs = jobs;
+        runs.emplace_back("jobs " + std::to_string(jobs),
+                          adaptiveAggregatesJson(
+                              runAdaptiveCampaign(*source, cfg),
+                              "gpu_tester"));
+    }
+    for (unsigned workers : {0u, 2u}) {
+        std::unique_ptr<ShardSource> source = makeSource(strategy, src_cfg);
+        runs.emplace_back("workers " + std::to_string(workers),
+                          aggregatesOf(runThreadFleet(*source, {}, workers)));
+    }
+    return runs;
+}
+
+} // namespace
+
+TEST(CrossExecutor, SweepAggregatesAreByteIdenticalOnEveryExecutor)
+{
+    const auto runs =
+        aggregatesOnEveryExecutor("sweep", tinySourceConfig(57, 9, 3));
+    EXPECT_NE(runs[0].second.find("\"shards_run\":9"), std::string::npos);
+    for (const auto &[executor, aggregates] : runs)
+        EXPECT_EQ(runs[0].second, aggregates) << executor;
+}
+
+TEST(CrossExecutor, GuidedAggregatesAreByteIdenticalOnEveryExecutor)
+{
+    const auto runs =
+        aggregatesOnEveryExecutor("guided", tinySourceConfig(57, 9, 3));
+    EXPECT_NE(runs[0].second.find("\"shards_run\":9"), std::string::npos);
+    EXPECT_NE(runs[0].second.find("\"arm\":"), std::string::npos);
+    for (const auto &[executor, aggregates] : runs)
+        EXPECT_EQ(runs[0].second, aggregates) << executor;
 }
 
 #endif // DRF_TEST_HAVE_SOCKETPAIR

@@ -435,6 +435,39 @@ TEST(Supervisor, ResumeReproducesAggregatesBitIdenticallyParallel)
     resumeBitIdentityAtJobs(4);
 }
 
+TEST(Supervisor, ResumedShardsReportNoRetries)
+{
+    std::string path = tempPath("resumed_retries.jsonl");
+    std::remove(path.c_str());
+
+    // Shard 0 succeeds on its third attempt and is journaled with them.
+    std::vector<ShardSpec> flaky;
+    flaky.push_back(syntheticShard("flaky", 7));
+    flaky.push_back(syntheticShard("steady", 8));
+    HostFaultInjector faults;
+    faults.arm(0, HostFaultKind::Transient, /*fail_attempts=*/2);
+    faults.armShards(flaky);
+    SupervisorConfig cfg = baseConfig(1);
+    cfg.journalPath = path;
+    cfg.maxRetries = 2;
+    cfg.retryBackoffMs = 1;
+    CampaignResult first = runSupervisedCampaign(std::move(flaky), cfg);
+    ASSERT_TRUE(first.passed);
+    EXPECT_EQ(first.retriesPerformed, 2u);
+
+    // The resumed session adopts both shards and runs neither.
+    std::vector<ShardSpec> again;
+    again.push_back(syntheticShard("flaky", 7));
+    again.push_back(syntheticShard("steady", 8));
+    cfg.resume = true;
+    CampaignResult resumed = runSupervisedCampaign(std::move(again), cfg);
+    EXPECT_TRUE(resumed.passed);
+    EXPECT_EQ(resumed.shardsResumed, 2u);
+    EXPECT_EQ(resumed.retriesPerformed, 0u)
+        << "a resumed session made no retries";
+    std::remove(path.c_str());
+}
+
 TEST(Supervisor, JournalRecordsAreInIndexOrder)
 {
     const std::size_t total = 6;

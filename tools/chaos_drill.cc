@@ -49,6 +49,7 @@
 #include <unistd.h>
 
 #include "chaos/chaos.hh"
+#include "chaos/disk_chaos.hh"
 #include "fleet/fleet.hh"
 #include "guidance/adaptive_campaign.hh"
 #include "guidance/sources.hh"
@@ -176,8 +177,8 @@ runDrill(const DrillOptions &opt, const Scenario &sc,
     cfg.coordinator.journalPath = journalPath;
     cfg.coordinator.resume = resume;
     cfg.coordinator.verifyQuorum = sc.verifyQuorum;
-    cfg.coordinator.diskChaos = resume ? chaos::DiskRates{}
-                                       : profile.disk;
+    cfg.coordinator.journalPolicy = chaos::diskChaosJournalPolicy(
+        chaosSeed, resume ? chaos::DiskRates{} : profile.disk);
     cfg.coordinator.chaosSeed = chaosSeed;
     cfg.workers = workers;
     cfg.wireChaos = resume ? chaos::WireRates{} : profile.wire;
@@ -336,13 +337,13 @@ main(int argc, char **argv)
                                      opt.workers, journal, false);
             std::string agg =
                 adaptiveAggregatesJson(r.adaptive, "gpu_tester");
-            if (r.halted || !r.adaptive.passed) {
+            if (r.adaptive.interrupted || !r.adaptive.passed) {
                 std::fprintf(stderr,
                               "chaos_drill: %s seed %llu did not "
                               "complete (halted=%d passed=%d)\n",
                               sc.name.c_str(),
                               (unsigned long long)seed,
-                              int(r.halted),
+                              int(r.adaptive.interrupted),
                               int(r.adaptive.passed));
                 broken = true;
                 break;
@@ -379,13 +380,13 @@ main(int argc, char **argv)
                                  journal, /*resume=*/true);
                     std::string heal_agg = adaptiveAggregatesJson(
                         heal.adaptive, "gpu_tester");
-                    if (heal.halted || !heal.adaptive.passed ||
+                    if (heal.adaptive.interrupted || !heal.adaptive.passed ||
                         heal_agg != golden_json) {
                         std::fprintf(
                             stderr,
                             "chaos_drill: %s resume leg failed "
                             "(halted=%d passed=%d identical=%d)\n",
-                            sc.name.c_str(), int(heal.halted),
+                            sc.name.c_str(), int(heal.adaptive.interrupted),
                             int(heal.adaptive.passed),
                             int(heal_agg == golden_json));
                         broken = true;

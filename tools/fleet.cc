@@ -42,6 +42,7 @@
 #include <memory>
 #include <string>
 
+#include "chaos/disk_chaos.hh"
 #include "fleet/fleet.hh"
 #include "fleet/worker.hh"
 #include "guidance/adaptive_campaign.hh"
@@ -346,7 +347,8 @@ makeCoordinatorConfig(const Options &opt,
     if (opt.retryBackoffMs >= 0)
         cfg.retryBackoffMs = static_cast<unsigned>(opt.retryBackoffMs);
     cfg.verifyQuorum = opt.verifyQuorum;
-    cfg.diskChaos = profile.disk;
+    cfg.journalPolicy =
+        chaos::diskChaosJournalPolicy(opt.chaosSeed, profile.disk);
     cfg.chaosSeed = opt.chaosSeed;
     return cfg;
 }
@@ -368,7 +370,7 @@ report(const FleetResult &result, const Options &opt)
         (unsigned long long)result.duplicateResults,
         (unsigned long long)result.localRuns,
         result.adaptive.shardsResumed,
-        result.halted ? " (halted)" : "");
+        result.adaptive.interrupted ? " (halted)" : "");
     std::printf("fleet: union digest %016llx\n",
                 (unsigned long long)result.adaptive.unionDigest);
 
@@ -418,11 +420,12 @@ report(const FleetResult &result, const Options &opt)
     }
 
     if (opt.expectComplete &&
-        (result.halted || !result.adaptive.passed)) {
+        (result.adaptive.interrupted || !result.adaptive.passed)) {
         std::fprintf(stderr,
                       "fleet: --expect-complete violated (halted=%d "
                       "passed=%d)\n",
-                      int(result.halted), int(result.adaptive.passed));
+                      int(result.adaptive.interrupted),
+                      int(result.adaptive.passed));
         return 1;
     }
     if (result.releases < opt.expectReleasesMin) {
