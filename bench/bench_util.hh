@@ -205,21 +205,18 @@ hostCpuModel()
 }
 
 /**
- * Emit the provenance keys every bench JSON baseline must carry:
- * cpu_model, git_sha, build_type and the L1 protocol the workload ran
- * (benches that expose a --protocol knob pass theirs; the rest measure
- * the VIPER default). Baselines are only comparable between like
- * machines, like builds, and like protocols; the CI regression gate
- * keys its comparisons on these fields. Call inside an open JSON
- * object.
+ * Emit the provenance keys every bench JSON record carries: cpu_model,
+ * git_sha, build_type and the L1 protocol the benches measure (the
+ * VIPER default). Records are only comparable between like machines,
+ * like builds, and like protocols. Call inside an open JSON object.
  */
 inline void
-jsonProvenance(JsonWriter &w, ProtocolKind protocol = ProtocolKind::Viper)
+jsonProvenance(JsonWriter &w)
 {
     w.key("cpu_model").value(hostCpuModel());
     w.key("git_sha").value(buildGitSha());
     w.key("build_type").value(buildType());
-    w.key("protocol").value(protocolKindName(protocol));
+    w.key("protocol").value(protocolKindName(ProtocolKind::Viper));
 }
 
 /** Write @p content to @p path, reporting the outcome on stdout. */

@@ -17,9 +17,11 @@
  * The headline metric is the episode reduction: guided is expected to
  * reach the random campaign's union coverage with >= 25% fewer total
  * episodes (median over the three seeds). Results go to
- * BENCH_guidance.json for tools/check_bench_regression.py; the binary
- * exits nonzero if coverage is not reached, determinism is broken, or
- * the median reduction falls below the threshold.
+ * BENCH_guidance.json; the binary exits nonzero if coverage is not
+ * reached, determinism is broken, or the median reduction falls below
+ * the threshold. tools/bench_gate.py runs it once per side and also
+ * fails a change whose median reduction falls more than 25% below its
+ * parent's.
  *
  * Usage: guidance_convergence [--jobs N] [--out FILE]
  */

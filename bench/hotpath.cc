@@ -3,8 +3,8 @@
  * Per-stage hot-path microbench for the data-oriented simulation core
  * (DESIGN.md section 10).
  *
- * The campaign bench (campaign_scaling) measures the whole pipeline;
- * when it regresses, this bench tells you *which* stage moved. Three
+ * perfbench (perfbench/run.py) measures the whole pipeline; when it
+ * regresses, this bench tells you *which* stage moved. Three
  * stages are timed in isolation, each reporting events/s:
  *
  *  - episode_generation: EpisodeGenerator::generateInto + retire over a

@@ -15,6 +15,17 @@ cloneGrid(const std::unique_ptr<CoverageGrid> &grid)
     return grid ? std::make_unique<CoverageGrid>(*grid) : nullptr;
 }
 
+/**
+ * True if a failure of class @p c stops @p cfg's campaign: host-level
+ * classes follow stopOnHostFailure, the rest stopOnFailure.
+ */
+bool
+stopsCampaign(const CampaignConfig &cfg, FailureClass c)
+{
+    return isHostFailureClass(c) ? cfg.stopOnHostFailure
+                                 : cfg.stopOnFailure;
+}
+
 } // namespace
 
 ShardOutcome::ShardOutcome(const ShardOutcome &other)
@@ -36,13 +47,6 @@ ShardMerge::ShardMerge(const CampaignConfig &cfg,
     : _cfg(cfg)
 {
     _result.shardsPlanned = shards_planned;
-}
-
-bool
-stopsCampaign(const CampaignConfig &cfg, FailureClass c)
-{
-    return isHostFailureClass(c) ? cfg.stopOnHostFailure
-                                 : cfg.stopOnFailure;
 }
 
 void

@@ -227,12 +227,6 @@ struct ShardDelta
 };
 
 /**
- * True if a failure of class @p c stops @p cfg's campaign: host-level
- * classes follow stopOnHostFailure, the rest stopOnFailure.
- */
-bool stopsCampaign(const CampaignConfig &cfg, FailureClass c);
-
-/**
  * Cross-shard merge: the one place campaign aggregates are built. The
  * campaign loop (guidance/adaptive_campaign.hh, on every executor)
  * funnels every completed ShardOutcome through add() on its driving

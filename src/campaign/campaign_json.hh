@@ -3,7 +3,7 @@
  * Machine-readable campaign summaries.
  *
  * A deliberately small hand-rolled JSON emitter (no third-party
- * dependency) used by the campaign benches to write BENCH_campaign.json
+ * dependency) used by the benches to write their BENCH_*.json records
  * and by anything else that wants campaign results in a pipeline.
  */
 

@@ -139,14 +139,12 @@ class PoolExecutor final : public ShardExecutor
 {
   public:
     explicit PoolExecutor(const SupervisorConfig &cfg)
-        : _stopPolicy(cfg.campaign),
-          _jobs(cfg.campaign.jobs != 0 ? cfg.campaign.jobs
+        : _jobs(cfg.campaign.jobs != 0 ? cfg.campaign.jobs
                                        : ThreadPool::defaultThreads()),
           _runner(cfg)
     {
-        _runner.setStopCheck([this] {
-            return _skipFrom.load(std::memory_order_acquire) == 0;
-        });
+        _runner.setStopCheck(
+            [this] { return _stopped.load(std::memory_order_acquire); });
     }
 
     /** Shards of discarded batches may still be running: drop the
@@ -163,19 +161,11 @@ class PoolExecutor final : public ShardExecutor
         if (!_pool)
             _pool.emplace(_jobs);
         _pool->submit([this, index, spec = std::move(spec)]() mutable {
-            if (index >= _skipFrom.load(std::memory_order_acquire)) {
+            if (_stopped.load(std::memory_order_acquire)) {
                 post(index, std::nullopt);
                 return;
             }
-            ShardOutcome out = _runner.run(std::move(spec), index);
-            if (!out.result.passed &&
-                stopsCampaign(_stopPolicy, out.result.failureClass)) {
-                std::size_t cur = _skipFrom.load();
-                while (index + 1 < cur &&
-                       !_skipFrom.compare_exchange_weak(cur, index + 1)) {
-                }
-            }
-            post(index, std::move(out));
+            post(index, _runner.run(std::move(spec), index));
         });
     }
 
@@ -198,7 +188,7 @@ class PoolExecutor final : public ShardExecutor
     void
     stop() override
     {
-        _skipFrom.store(0, std::memory_order_release);
+        _stopped.store(true, std::memory_order_release);
     }
 
     /** Pool threads started; 0 when no shard was submitted. */
@@ -215,13 +205,11 @@ class PoolExecutor final : public ShardExecutor
         _cv.notify_one();
     }
 
-    const CampaignConfig _stopPolicy;
     const unsigned _jobs;
-    // A shard whose global index is at or past this skips itself when
-    // it would start: lowered past a shard whose failure stops the
-    // merge (so everything up to it still runs, at any jobs), and to 0
-    // by stop().
-    std::atomic<std::size_t> _skipFrom{SIZE_MAX};
+    // Set by stop(): a shard that has not started skips itself. The
+    // loop merges a stopping batch whole, as the fleet does, so no
+    // failure skips the rest of its own batch.
+    std::atomic<bool> _stopped{false};
     ShardRunner _runner;
     std::mutex _mutex;
     std::condition_variable _cv;
@@ -316,7 +304,6 @@ BatchWindow::pull()
 void
 BatchWindow::popFront()
 {
-    _drained = _batches.front().end;
     _batches.pop_front();
     _waiting = false;
 }

@@ -39,11 +39,6 @@
  * master seed produce the identical shard schedule, decision log,
  * saturation curve and union-coverage digest on any executor, at any
  * thread or worker count, and a fixed list stops at the same shard.
- * (After a failure that stops the campaign, the pool executor skips
- * unstarted shards of the failing batch past the failure; whether a
- * higher-index shard of that batch had already started is
- * completion-order dependent at jobs > 1 — everything up to and
- * including the first failure is still reproducible.)
  */
 
 #ifndef DRF_GUIDANCE_ADAPTIVE_CAMPAIGN_HH
@@ -183,17 +178,8 @@ class BatchWindow
     /** Retire the front batch after feeding it back. */
     void popFront();
 
-    /** Every index below this has drained. */
-    std::size_t drained() const { return _drained; }
-
     /** One past the last index pulled. */
     std::size_t end() const { return _end; }
-
-    /** True if @p index was pulled and has not drained yet. */
-    bool holds(std::size_t index) const
-    {
-        return index >= _drained && index < _end;
-    }
 
     /** Pulls stopped at max_batches with the source not run dry. */
     bool capped() const;
@@ -203,7 +189,6 @@ class BatchWindow
     const std::size_t _maxBatches;
     std::deque<Range> _batches;
     std::size_t _pulled = 0;
-    std::size_t _drained = 0;
     std::size_t _end = 0;
     bool _exhausted = false;
     bool _waiting = false; ///< answered "not yet"; ask after popFront()

@@ -2,12 +2,12 @@
  * @file
  * Build provenance for machine-readable outputs.
  *
- * The bench JSON baselines (BENCH_campaign.json, BENCH_msg_path.json)
- * are only comparable when they come from like builds; recording the
- * git revision and CMake build type alongside cpu_model lets the CI
- * regression gate (and a human reading a stale baseline) see exactly
- * what produced the numbers. The values are injected at configure time
- * by the root CMakeLists; a build outside CMake gets "unknown".
+ * The committed bench JSON records (BENCH_msg_path.json,
+ * BENCH_hotpath.json, ...) are only comparable when they come from like
+ * builds; recording the git revision and CMake build type alongside
+ * cpu_model lets a reader of a stale record see exactly what produced
+ * the numbers. The values are injected at configure time by the root
+ * CMakeLists; a build outside CMake gets "unknown".
  */
 
 #ifndef DRF_SIM_BUILD_INFO_HH

@@ -7,8 +7,9 @@
  * small-buffer-optimized InlineEvents, a 4-ary heap, and a same-tick
  * FIFO fast path. Tests drive both queues with identical schedules and
  * assert identical firing orders (tests/test_queue_determinism.cc), and
- * bench/campaign_scaling.cc measures the speedup of the overhaul
- * against this implementation. To keep the comparison honest, the
+ * bench/micro_throughput.cc measures the speedup of the overhaul
+ * against this implementation (BM_LegacyEventQueueScheduleRun vs
+ * BM_EventQueueScheduleRun). To keep the comparison honest, the
  * method bodies live out of line in legacy_event_queue.cc exactly as
  * the original event_queue.cc had them — inlining them here would make
  * the baseline faster than the code being replaced ever was. Do not use

@@ -34,18 +34,6 @@ struct EpisodeSchedule
     std::size_t size() const { return episodes.size(); }
     bool empty() const { return episodes.empty(); }
 
-    /** Episodes belonging to wavefront @p wf, in schedule order. */
-    std::vector<const Episode *>
-    forWavefront(std::uint32_t wf) const
-    {
-        std::vector<const Episode *> out;
-        for (const Episode &e : episodes) {
-            if (e.wavefrontId == wf)
-                out.push_back(&e);
-        }
-        return out;
-    }
-
     /** The subsequence selected by @p keep (indexes into episodes). */
     EpisodeSchedule
     subset(const std::vector<std::size_t> &keep) const

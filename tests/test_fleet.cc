@@ -968,6 +968,20 @@ TEST(CrossExecutor, SweepAggregatesAreByteIdenticalOnEveryExecutor)
         EXPECT_EQ(runs[0].second, aggregates) << executor;
 }
 
+TEST(CrossExecutor, FailingSweepMergesTheSameShardsOnEveryExecutor)
+{
+    // Every shard carries the armed bug, so the first batch stops the
+    // campaign: each executor merges that whole batch, whatever its
+    // completion order.
+    SourceConfig src_cfg = tinySourceConfig(21, 12, 3);
+    src_cfg.scale.fault = FaultKind::LostWriteThrough;
+    const auto runs = aggregatesOnEveryExecutor("sweep", src_cfg);
+    EXPECT_NE(runs[0].second.find("\"shards_run\":3"), std::string::npos);
+    EXPECT_NE(runs[0].second.find("\"passed\":false"), std::string::npos);
+    for (const auto &[executor, aggregates] : runs)
+        EXPECT_EQ(runs[0].second, aggregates) << executor;
+}
+
 TEST(CrossExecutor, GuidedAggregatesAreByteIdenticalOnEveryExecutor)
 {
     const auto runs =

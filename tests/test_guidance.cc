@@ -787,10 +787,11 @@ TEST(AdaptiveCampaign, FailureStopsAtTheFailingBatchAtAnyJobs)
     EXPECT_EQ(run(1), run(4));
 }
 
-TEST(AdaptiveCampaign, SerialFailureSkipsTheRestOfItsBatch)
+TEST(AdaptiveCampaign, SerialFailureMergesItsWholeBatch)
 {
-    // As under a barrier at jobs=1: s4 fails mid-batch, so s5 never
-    // runs and nothing past the failure is reported.
+    // s4 fails mid-batch: the campaign stops at that batch's boundary,
+    // so s5 still runs and is reported, as on a fleet, and nothing of
+    // the batch after it is pulled.
     bool s5_ran = false;
     std::vector<std::vector<ShardSpec>> batches(3);
     for (std::size_t i = 0; i < 9; ++i) {
@@ -807,10 +808,10 @@ TEST(AdaptiveCampaign, SerialFailureSkipsTheRestOfItsBatch)
     cfg.jobs = 1;
     AdaptiveCampaignResult res = runAdaptiveCampaign(source, cfg);
 
-    EXPECT_FALSE(s5_ran);
+    EXPECT_TRUE(s5_ran);
     EXPECT_EQ(res.rounds, 2u);
-    EXPECT_EQ(res.shardsRun, 5u);
-    EXPECT_EQ(source.reported, iota(5));
+    EXPECT_EQ(res.shardsRun, 6u);
+    EXPECT_EQ(source.reported, iota(6));
 }
 
 TEST(AdaptiveCampaign, SaturationStopsAtTheSameBatchAtAnyJobs)
