@@ -405,19 +405,9 @@ CampaignJournal::append(const std::string &line)
     std::lock_guard<std::mutex> lock(_mutex);
     if (_fd < 0 || _failed)
         return;
-    if (_policy.crcRecords)
-        _buffer.append(sealJournalRecord(line));
-    else
-        _buffer.append(line);
+    _buffer.append(sealJournalRecord(line));
     _buffer.push_back('\n');
-    ++_recordsBuffered;
     ++_status.records;
-    if (_buffer.size() >= _policy.flushBytes) {
-        bool sync = _policy.syncEveryRecords != 0 &&
-                    _recordsSinceSync + _recordsBuffered >=
-                        _policy.syncEveryRecords;
-        flushLocked(sync);
-    }
 }
 
 void
@@ -441,7 +431,6 @@ CampaignJournal::degradeLocked(int err, const char *op)
     _status.lastErrno = err;
     _status.lastOp = op;
     _buffer.clear();
-    _recordsBuffered = 0;
 }
 
 void
@@ -493,8 +482,6 @@ CampaignJournal::writeBufferLocked()
         ++_status.retries;
         backoffLocked(failures);
     }
-    _recordsSinceSync += _recordsBuffered;
-    _recordsBuffered = 0;
     return true;
 }
 
@@ -510,10 +497,8 @@ CampaignJournal::syncLocked()
                 err = errno != 0 ? errno : EIO;
 #endif
         }
-        if (err == 0) {
-            _recordsSinceSync = 0;
+        if (err == 0)
             return true;
-        }
         ++_status.fsyncFailures;
         _status.lastErrno = err;
         _status.lastOp = "fsync";

@@ -26,8 +26,8 @@
  * SIGKILL/power loss) and takes the *last* record per shard index, so
  * a journal appended to across several resumed sessions stays valid.
  *
- * On-disk integrity: by default each appended line is sealed in a
- * CRC32C envelope — {"crc":"xxxxxxxx","data":<line>} — so the loader
+ * On-disk integrity: each appended line is sealed in a CRC32C
+ * envelope — {"crc":"xxxxxxxx","data":<line>} — so the loader
  * can tell a record that was *damaged* (bit rot, a torn write spliced
  * against a later append) from one that is merely absent. Sealed and
  * bare (pre-envelope) lines coexist in one file; damage is counted per
@@ -47,14 +47,15 @@
  * actually writes the allowed prefix, producing genuine torn bytes on
  * disk for the resume path to heal over.
  *
- * The writer buffers: appended lines accumulate and are written with
- * one write() per flush batch instead of one syscall per record, and
- * flushes always end on record boundaries, so the on-disk tail is at
- * most one torn record (exactly what the loader tolerates). fsync runs
- * on the flush that completes every syncEveryRecords-th shard record
- * and on close — the "shard boundary" durability policy: what a crash
- * can lose is a bounded number of deterministic, re-runnable shards,
- * never a torn prefix of the file.
+ * The writer buffers: append() seals a line and buffers it, and
+ * flush() is the only write path — one write() for the whole buffer,
+ * always ending on a record boundary, so the on-disk tail is at most
+ * one torn record (exactly what the loader tolerates). The campaign
+ * loop appends each drained batch and flushes it with fsync before the
+ * next batch is reported; close flushes and fsyncs too. That is the
+ * "shard boundary" durability policy: what a crash can lose is the
+ * batch in flight — deterministic, re-runnable shards — never a torn
+ * prefix of the file.
  */
 
 #ifndef DRF_CAMPAIGN_JOURNAL_HH
@@ -164,25 +165,15 @@ std::string journalStatusJson(const JournalStatus &status);
 class CampaignJournal
 {
   public:
-    /** Durability / batching / failure policy. */
+    /** Failure policy. */
     struct Policy
     {
-        /** Flush once this many buffered bytes accumulate. */
-        std::size_t flushBytes = 32 * 1024;
-
-        /** fsync at the flush completing every Nth record; 0 = only on
-         *  close. */
-        unsigned syncEveryRecords = 8;
-
         /** Retry rounds after a failed write()/fsync() before the
          *  journal degrades (so up to 1 + maxWriteRetries attempts). */
         unsigned maxWriteRetries = 3;
 
         /** Backoff before retry r is retryBackoffMs << (r-1). */
         unsigned retryBackoffMs = 2;
-
-        /** Seal each record in the CRC32C envelope. */
-        bool crcRecords = true;
 
         /**
          * Fault-injection seams (tests / chaos drills). writeFault is
@@ -214,7 +205,7 @@ class CampaignJournal
     /** Writer health snapshot (thread-safe). */
     JournalStatus status();
 
-    /** Append one line + '\n' to the flush buffer (see Policy). */
+    /** Seal one line and buffer it, '\n'-terminated, for flush(). */
     void append(const std::string &line);
 
     /**
@@ -237,8 +228,6 @@ class CampaignJournal
     JournalStatus _status;
     int _fd = -1;
     bool _failed = false;
-    unsigned _recordsBuffered = 0;
-    unsigned _recordsSinceSync = 0;
 };
 
 } // namespace drf

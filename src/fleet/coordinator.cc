@@ -8,7 +8,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
-#include <set>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -60,46 +60,30 @@ canonicalResultKey(const ShardOutcome &src)
     return shardOutcomeToJson(c);
 }
 
-enum class DigestCheck
-{
-    Bare, ///< no digest prefix (legacy / local path)
-    Ok,   ///< prefix present, matches the line
-    Bad,  ///< prefix present, line digests differently
-};
-
 /**
- * Split a Result payload into its record line, verifying the end-to-end
- * digest when present ("%016llx <line>"). Bare lines are accepted: the
- * local execution path and pre-digest peers produce them, and the frame
- * CRC already covers transport damage — the digest's job is catching a
- * worker whose *computation* went wrong.
+ * Split a Result payload ("%016llx <line>") into its record line and
+ * check the end-to-end digest. A payload without the prefix fails as
+ * a mismatch: every worker that passes the Hello check stamps one. The
+ * frame CRC already covers transport damage — the digest's job is
+ * catching a worker whose *computation* went wrong.
  */
-DigestCheck
+bool
 splitResultPayload(const std::string &payload, std::string &line)
 {
-    if (payload.size() > 17 && payload[16] == ' ') {
-        std::uint64_t want = 0;
-        bool hex = true;
-        for (int i = 0; i < 16; ++i) {
-            char c = payload[static_cast<std::size_t>(i)];
-            if (c >= '0' && c <= '9')
-                want = (want << 4) | static_cast<unsigned>(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                want = (want << 4) |
-                       (static_cast<unsigned>(c - 'a') + 10);
-            else {
-                hex = false;
-                break;
-            }
-        }
-        if (hex) {
-            line = payload.substr(17);
-            return chaos::fnv1a64(line) == want ? DigestCheck::Ok
-                                                : DigestCheck::Bad;
-        }
+    if (payload.size() <= 17 || payload[16] != ' ')
+        return false;
+    std::uint64_t want = 0;
+    for (int i = 0; i < 16; ++i) {
+        char c = payload[static_cast<std::size_t>(i)];
+        if (c >= '0' && c <= '9')
+            want = (want << 4) | static_cast<unsigned>(c - '0');
+        else if (c >= 'a' && c <= 'f')
+            want = (want << 4) | (static_cast<unsigned>(c - 'a') + 10);
+        else
+            return false;
     }
-    line = payload;
-    return DigestCheck::Bare;
+    line = payload.substr(17);
+    return chaos::fnv1a64(line) == want;
 }
 
 } // namespace
@@ -119,71 +103,60 @@ struct FleetCoordinator::Impl final : ShardExecutor
     std::atomic<bool> shutdown{false};
     std::thread acceptThread;
 
-    /** One connected worker process. */
+    /** One connected worker process; a reconnect is a new Worker. */
     struct Worker
     {
         int fd = -1;
         std::string name;
         bool alive = false;
         Clock::time_point lastSeen{};
-        std::deque<std::size_t> held; ///< lease indices held
-        std::uint64_t completed = 0;
+        std::uint64_t leasesSent = 0; ///< Lease frames sent this session
         std::thread reader;
     };
 
-    struct OutstandingLease
+    /** Where a sampled index's quorum cross-check stands. */
+    enum class Check
     {
-        ShardLease lease;
-        Clock::time_point issuedAt{};
-        unsigned holders = 0;
+        None,     ///< not duplicated for quorum
+        Pending,  ///< duplicated; a second answer decides
+        Dropped,  ///< abandoned: the first answer posts unverified
+        Diverged, ///< answers differed; only the local re-run posts
     };
 
-    /** A first answer held back until its quorum cross-check lands. */
-    struct Unverified
+    /**
+     * One submitted index that has not been posted yet. An answer for
+     * an index without a record is a duplicate or a straggler.
+     */
+    struct Shard
     {
-        ShardOutcome out;
-        std::string key; ///< canonicalResultKey
-        /** The lease this answer retired, kept so a divergence can
-         *  re-run the shard authoritatively. */
-        ShardLease lease;
-        bool hasLease = false;
+        /** What a worker runs; unset for a shard no lease can
+         *  describe, which runs here from spec. */
+        std::optional<ShardLease> lease;
+        ShardSpec spec;
+        /** Workers that hold the lease, queued or running, and owe an
+         *  answer. */
+        std::vector<const Worker *> holders;
+        /** When the lease last left pending. */
+        Clock::time_point issuedAt{};
+
+        Check check = Check::None;
+        Clock::time_point checkIssuedAt{};
+        /** The first answer, held back while its check is pending. */
+        std::optional<ShardOutcome> first;
+        const Worker *firstFrom = nullptr;
+        std::string firstKey; ///< canonicalResultKey(*first)
     };
+    using ShardMap = std::map<std::size_t, Shard>;
 
     std::mutex mutex;
     std::condition_variable cv;
     std::vector<std::shared_ptr<Worker>> workers;
-    std::deque<ShardLease> pending; ///< unleased, index order
-    std::map<std::size_t, OutstandingLease> outstanding;
-    /** Submitted indices not yet posted; an answer for any other index
-     *  is a duplicate or a straggler. */
-    std::set<std::size_t> open;
+    ShardMap shards;
+    std::deque<std::size_t> pending;     ///< unleased, index order
+    std::deque<std::size_t> localOnly;   ///< no lease: run here
+    std::deque<std::size_t> repairQueue; ///< diverged: re-run here
     /** Trusted outcomes not yet taken by wait(). */
     std::vector<Post> posts;
-    /** First answers of sampled indices awaiting their cross-check. */
-    std::map<std::size_t, Unverified> unverified;
-    /** Indices caught diverging: socket results are quarantined until
-     *  the local authoritative re-run lands. */
-    std::set<std::size_t> poisoned;
-    /** Unposted indices already duplicated for quorum. */
-    std::set<std::size_t> quorumIssued;
-    /** One in-flight cross-check: when it was issued and to whom. */
-    struct PendingCheck
-    {
-        Clock::time_point issuedAt;
-        const Worker *verifier = nullptr;
-    };
-    /** Sampled indices whose second answer hasn't arrived: their first
-     *  answer is not posted while these are pending (else a lying
-     *  primary result could be merged before its cross-check lands and
-     *  the straggler verdict would be discarded). A check is abandoned
-     *  when its verifier dies or a generous deadline passes — never on
-     *  the lease timeout, which is transport-scale while the verifier
-     *  is legitimately busy draining its own queue first. */
-    std::map<std::size_t, PendingCheck> quorumPending;
-    /** Diverged leases awaiting their authoritative local re-run. */
-    std::deque<ShardLease> repairQueue;
-    /** Shards no lease can describe, run here (driving thread only). */
-    std::deque<std::pair<ShardSpec, std::size_t>> localOnly;
 
     std::unique_ptr<ShardRunner> localRunner;
 
@@ -308,29 +281,34 @@ struct FleetCoordinator::Impl final : ShardExecutor
                 switch (frame.type) {
                   case MsgType::Result: {
                     std::string line;
-                    if (splitResultPayload(frame.payload, line) ==
-                        DigestCheck::Bad) {
+                    if (!splitResultPayload(frame.payload, line)) {
                         // The frame survived the wire intact but the
-                        // worker's own digest disagrees with its line:
-                        // this peer's output cannot be trusted.
+                        // worker's own digest disagrees with its line
+                        // (or is missing): this peer's output cannot
+                        // be trusted.
                         ++stats.digestMismatches;
                         markDeadLocked(*worker);
                         poisoned_stream = true;
                         break;
                     }
-                    ++worker->completed;
-                    handleResultLineLocked(line);
+                    handleResultLineLocked(line, worker.get());
                     topUpLocked(*worker);
                     enforceQuorumLocked();
                     break;
                   }
-                  case MsgType::Steal:
-                    topUpLocked(*worker);
-                    enforceQuorumLocked();
-                    stealForLocked(*worker);
+                  case MsgType::Heartbeat: {
+                    // An idle worker that has taken every lease sent
+                    // to it owes no answer: whatever it is still
+                    // listed as holding lost its Result on the wire.
+                    HeartbeatMsg hb;
+                    if (parseHeartbeat(frame.payload, hb) && hb.idle &&
+                        hb.leasesTaken == worker->leasesSent) {
+                        releaseHeldLocked(*worker);
+                        topUpLocked(*worker);
+                        enforceQuorumLocked();
+                    }
                     break;
-                  case MsgType::Heartbeat:
-                    break; // lastSeen already refreshed
+                  }
                   default:
                     break; // unknown frames are ignored, not fatal
                 }
@@ -346,19 +324,34 @@ struct FleetCoordinator::Impl final : ShardExecutor
 
     // ---- lease bookkeeping (mutex held) -----------------------------
 
-    void
-    sendLeaseLocked(Worker &worker, const ShardLease &lease)
+    static bool
+    holds(const Shard &shard, const Worker &worker)
     {
-        auto [it, fresh] = outstanding.try_emplace(lease.index);
-        if (fresh) {
-            it->second.lease = lease;
-            it->second.issuedAt = Clock::now();
-        }
-        ++it->second.holders;
-        worker.held.push_back(lease.index);
+        return std::find(shard.holders.begin(), shard.holders.end(),
+                         &worker) != shard.holders.end();
+    }
+
+    /** Leases @p worker is running or has queued. */
+    std::size_t
+    heldLocked(const Worker &worker) const
+    {
+        std::size_t held = 0;
+        for (const auto &[index, shard] : shards)
+            held += holds(shard, worker) ? 1 : 0;
+        return held;
+    }
+
+    void
+    sendLeaseLocked(Worker &worker, std::size_t index)
+    {
+        Shard &shard = shards.at(index);
+        if (shard.holders.empty())
+            shard.issuedAt = Clock::now();
+        shard.holders.push_back(&worker);
+        ++worker.leasesSent;
         ++stats.leasesIssued;
         if (!sendFrame(worker.fd, MsgType::Lease,
-                       serializeLease(lease)))
+                       serializeLease(*shard.lease)))
             markDeadLocked(worker);
     }
 
@@ -367,134 +360,10 @@ struct FleetCoordinator::Impl final : ShardExecutor
     topUpLocked(Worker &worker)
     {
         while (worker.alive && !pending.empty() &&
-               worker.held.size() < cfg.queueDepth) {
-            ShardLease lease = std::move(pending.front());
+               heldLocked(worker) < cfg.queueDepth) {
+            std::size_t index = pending.front();
             pending.pop_front();
-            sendLeaseLocked(worker, lease);
-        }
-    }
-
-    /**
-     * Work stealing, proactive half: an idle worker duplicates the
-     * oldest lease still outstanding on exactly one other worker. The
-     * first result for the index wins; the merge drops the loser.
-     */
-    void
-    stealForLocked(Worker &worker)
-    {
-        if (!worker.alive || !worker.held.empty() || !pending.empty())
-            return;
-        Clock::time_point now = Clock::now();
-        std::map<std::size_t, OutstandingLease>::iterator oldest =
-            outstanding.end();
-        for (auto it = outstanding.begin(); it != outstanding.end();
-             ++it) {
-            if (it->second.holders != 1 || settledLocked(it->first))
-                continue;
-            double age = std::chrono::duration<double>(
-                             now - it->second.issuedAt)
-                             .count();
-            if (age < cfg.stealMinAgeSeconds)
-                continue;
-            if (oldest == outstanding.end() ||
-                it->second.issuedAt < oldest->second.issuedAt)
-                oldest = it;
-        }
-        if (oldest == outstanding.end())
-            return;
-        ++stats.releases;
-        sendLeaseLocked(worker, oldest->second.lease);
-    }
-
-    /**
-     * Work stealing, recovery half: a dead worker's outstanding leases
-     * go back to the pending queue (front, preserving index order as
-     * much as possible) for the next top-up.
-     */
-    void
-    markDeadLocked(Worker &worker)
-    {
-        if (!worker.alive)
-            return;
-        worker.alive = false;
-#if DRF_FLEET_HAVE_SOCKETS
-        ::shutdown(worker.fd, SHUT_RDWR);
-#endif
-        std::vector<ShardLease> returned;
-        for (std::size_t index : worker.held) {
-            auto it = outstanding.find(index);
-            if (it == outstanding.end() || settledLocked(index))
-                continue;
-            if (--it->second.holders == 0) {
-                returned.push_back(it->second.lease);
-                outstanding.erase(it);
-                ++stats.releases;
-            }
-        }
-        worker.held.clear();
-        std::sort(returned.begin(), returned.end(),
-                  [](const ShardLease &a, const ShardLease &b) {
-                      return a.index < b.index;
-                  });
-        for (auto rit = returned.rbegin(); rit != returned.rend();
-             ++rit)
-            pending.push_front(std::move(*rit));
-    }
-
-    /** Reap workers silent past the heartbeat timeout. */
-    void
-    reapSilentLocked()
-    {
-        if (cfg.heartbeatTimeoutSeconds <= 0.0)
-            return;
-        Clock::time_point now = Clock::now();
-        for (auto &worker : workers) {
-            if (!worker->alive)
-                continue;
-            double silent = std::chrono::duration<double>(
-                                now - worker->lastSeen)
-                                .count();
-            if (silent > cfg.heartbeatTimeoutSeconds)
-                markDeadLocked(*worker);
-        }
-    }
-
-    /** The least-loaded alive worker not holding @p index, or null. */
-    Worker *
-    leastLoadedWithoutLocked(std::size_t index)
-    {
-        Worker *target = nullptr;
-        for (auto &worker : workers) {
-            bool holds_it = std::find(worker->held.begin(),
-                                      worker->held.end(),
-                                      index) != worker->held.end();
-            if (!worker->alive || holds_it)
-                continue;
-            if (!target || worker->held.size() < target->held.size())
-                target = worker.get();
-        }
-        return target;
-    }
-
-    /** Duplicate leases outstanding longer than the lease timeout. */
-    void
-    releaseOverdueLocked()
-    {
-        if (cfg.leaseTimeoutSeconds <= 0.0)
-            return;
-        Clock::time_point now = Clock::now();
-        for (auto &[index, ol] : outstanding) {
-            if (ol.holders != 1 || settledLocked(index))
-                continue;
-            if (std::chrono::duration<double>(now - ol.issuedAt)
-                    .count() < cfg.leaseTimeoutSeconds)
-                continue;
-            Worker *target = leastLoadedWithoutLocked(index);
-            if (!target)
-                continue;
-            ol.issuedAt = now; // restart the clock, avoid a storm
-            ++stats.releases;
-            sendLeaseLocked(*target, ol.lease);
+            sendLeaseLocked(worker, index);
         }
     }
 
@@ -508,13 +377,130 @@ struct FleetCoordinator::Impl final : ShardExecutor
     }
 
     /**
-     * Opt-in result verification: duplicate every sampled outstanding
-     * lease (index % verifyQuorum == 0) onto a second worker so two
-     * independent processes answer the same shard. Runs under the same
-     * mutex hold as every top-up, so a sampled result cannot arrive
-     * before its duplicate is issued. Candidates are collected
+     * Take @p worker off every lease it holds — it died, or it lost
+     * their Results. A lease left with no holder and no answer returns
+     * to the front of pending, in index order, for the next top-up. A
+     * pending cross-check that can no longer get two answers is
+     * dropped, and its first answer, if any, posts unverified:
+     * sampling is best-effort under churn, but every index must post.
+     */
+    void
+    releaseHeldLocked(const Worker &worker)
+    {
+        std::vector<std::size_t> returned; // map order: index order
+        for (auto it = shards.begin(); it != shards.end();) {
+            Shard &shard = it->second;
+            auto held = std::find(shard.holders.begin(),
+                                  shard.holders.end(), &worker);
+            if (held == shard.holders.end()) {
+                ++it;
+                continue;
+            }
+            shard.holders.erase(held);
+            if (shard.check == Check::Pending &&
+                shard.holders.size() + (shard.first ? 1 : 0) < 2) {
+                shard.check = Check::Dropped;
+                if (shard.first) {
+                    it = postLocked(it, std::move(shard.first));
+                    continue;
+                }
+            }
+            if (shard.holders.empty() && !shard.first &&
+                shard.check != Check::Diverged) {
+                returned.push_back(it->first);
+                ++stats.releases;
+            }
+            ++it;
+        }
+        pending.insert(pending.begin(), returned.begin(), returned.end());
+    }
+
+    void
+    markDeadLocked(Worker &worker)
+    {
+        if (!worker.alive)
+            return;
+        worker.alive = false;
+#if DRF_FLEET_HAVE_SOCKETS
+        ::shutdown(worker.fd, SHUT_RDWR);
+#endif
+        releaseHeldLocked(worker);
+    }
+
+    /** Reap workers silent past the heartbeat timeout. */
+    void
+    reapSilentLocked()
+    {
+        if (cfg.heartbeatTimeoutSeconds <= 0.0)
+            return;
+        for (auto &worker : workers) {
+            if (worker->alive &&
+                secondsSince(worker->lastSeen) >
+                    cfg.heartbeatTimeoutSeconds)
+                markDeadLocked(*worker);
+        }
+    }
+
+    /** The least-loaded alive worker not holding @p index, or null. */
+    Worker *
+    leastLoadedWithoutLocked(std::size_t index)
+    {
+        const Shard &shard = shards.at(index);
+        Worker *target = nullptr;
+        std::size_t target_held = 0;
+        for (auto &worker : workers) {
+            if (!worker->alive || holds(shard, *worker))
+                continue;
+            std::size_t held = heldLocked(*worker);
+            if (!target || held < target_held) {
+                target = worker.get();
+                target_held = held;
+            }
+        }
+        return target;
+    }
+
+    /**
+     * The straggler rule: a lease held by exactly one worker for longer
+     * than stragglerSeconds is duplicated, oldest first, onto a worker
+     * that still holds nothing after top-up. The first answer posts;
+     * the other is dropped as a duplicate.
+     */
+    void
+    duplicateStragglersLocked()
+    {
+        std::vector<Worker *> idle;
+        for (auto &worker : workers) {
+            if (worker->alive && heldLocked(*worker) == 0)
+                idle.push_back(worker.get());
+        }
+        if (idle.empty())
+            return;
+        std::vector<std::pair<Clock::time_point, std::size_t>> late;
+        for (const auto &[index, shard] : shards) {
+            if (shard.holders.size() == 1 && !shard.first &&
+                shard.check != Check::Diverged &&
+                secondsSince(shard.issuedAt) > cfg.stragglerSeconds)
+                late.emplace_back(shard.issuedAt, index);
+        }
+        std::sort(late.begin(), late.end());
+        for (std::size_t i = 0; i < late.size() && i < idle.size(); ++i) {
+            auto it = shards.find(late[i].second);
+            if (it == shards.end() || it->second.holders.size() != 1)
+                continue; // a failed send in this loop released it
+            ++stats.releases;
+            sendLeaseLocked(*idle[i], late[i].second);
+        }
+    }
+
+    /**
+     * Opt-in result verification: duplicate every sampled lease
+     * (index % verifyQuorum == 0) held by one worker onto a second, so
+     * two independent processes answer the same shard. Runs under the
+     * same mutex hold as every top-up, so a sampled result cannot
+     * arrive before its duplicate is issued. Candidates are collected
      * before any lease is sent: sendLeaseLocked can mark a worker dead
-     * and mutate `outstanding` mid-iteration.
+     * and post or re-queue shards mid-iteration.
      */
     void
     enforceQuorumLocked()
@@ -522,55 +508,44 @@ struct FleetCoordinator::Impl final : ShardExecutor
         if (cfg.verifyQuorum == 0)
             return;
         std::vector<std::size_t> candidates;
-        for (auto &[index, ol] : outstanding) {
-            if (index % cfg.verifyQuorum != 0 || ol.holders != 1)
-                continue;
-            if (settledLocked(index) || poisoned.count(index) ||
-                quorumIssued.count(index))
-                continue;
-            candidates.push_back(index);
+        for (const auto &[index, shard] : shards) {
+            if (index % cfg.verifyQuorum == 0 &&
+                shard.holders.size() == 1 && shard.check == Check::None)
+                candidates.push_back(index);
         }
         for (std::size_t index : candidates) {
-            auto it = outstanding.find(index);
-            if (it == outstanding.end())
+            auto it = shards.find(index);
+            if (it == shards.end() || it->second.holders.size() != 1)
                 continue;
             Worker *target = leastLoadedWithoutLocked(index);
             if (!target)
                 continue; // single-worker fleet: nothing to compare
-            ShardLease lease = it->second.lease;
-            quorumIssued.insert(index);
+            it->second.check = Check::Pending;
+            it->second.checkIssuedAt = Clock::now();
             ++stats.quorumLeases;
-            sendLeaseLocked(*target, lease);
-            if (target->alive)
-                quorumPending[index] =
-                    PendingCheck{Clock::now(), target};
+            sendLeaseLocked(*target, index);
         }
     }
 
-    /** Abandon cross-checks that can no longer resolve — the verifier
-     *  died, or a deadline sized for whole shard queues (not frames)
-     *  passed — and post the first answer unverified. Sampling is
-     *  best-effort under churn, but every index must always post. */
+    /** Abandon cross-checks past a deadline sized for whole shard
+     *  queues (not frames) — the verifier is legitimately busy draining
+     *  its own queue first — and post the first answer unverified. */
     void
     expireQuorumLocked()
     {
-        double bound =
-            std::max({cfg.heartbeatTimeoutSeconds,
-                      2.0 * cfg.leaseTimeoutSeconds, 5.0});
-        for (auto it = quorumPending.begin();
-             it != quorumPending.end();) {
-            bool dead = it->second.verifier &&
-                        !it->second.verifier->alive;
-            if (!dead && secondsSince(it->second.issuedAt) <= bound) {
+        const double bound = std::max(cfg.heartbeatTimeoutSeconds, 5.0);
+        for (auto it = shards.begin(); it != shards.end();) {
+            Shard &shard = it->second;
+            if (shard.check != Check::Pending ||
+                secondsSince(shard.checkIssuedAt) <= bound) {
                 ++it;
                 continue;
             }
-            auto first = unverified.find(it->first);
-            if (first != unverified.end()) {
-                postLocked(first->first, std::move(first->second.out));
-                unverified.erase(first);
-            }
-            it = quorumPending.erase(it);
+            shard.check = Check::Dropped;
+            if (shard.first)
+                it = postLocked(it, std::move(shard.first));
+            else
+                ++it;
         }
     }
 
@@ -581,13 +556,6 @@ struct FleetCoordinator::Impl final : ShardExecutor
         for (const auto &worker : workers)
             alive += worker->alive ? 1 : 0;
         return alive;
-    }
-
-    /** True once @p index has an answer (posted or being verified). */
-    bool
-    settledLocked(std::size_t index) const
-    {
-        return open.count(index) == 0 || unverified.count(index) != 0;
     }
 
     /** No worker can take leases: the coordinator runs them itself. */
@@ -608,75 +576,60 @@ struct FleetCoordinator::Impl final : ShardExecutor
 
     // ---- result intake ----------------------------------------------
 
-    /** Hand @p index's outcome to the loop; later answers are
-     *  duplicates. */
-    void
-    postLocked(std::size_t index, std::optional<ShardOutcome> out)
+    /** Hand @p it's outcome to the loop and drop its record; later
+     *  answers are duplicates. Returns the next record. */
+    ShardMap::iterator
+    postLocked(ShardMap::iterator it, std::optional<ShardOutcome> out)
     {
-        open.erase(index);
-        quorumIssued.erase(index);
-        posts.emplace_back(index, std::move(out));
+        // A dead worker's late answer can post a shard already queued
+        // again for re-lease.
+        std::erase(pending, it->first);
+        posts.emplace_back(it->first, std::move(out));
+        return shards.erase(it);
     }
 
     /**
      * The one funnel every executed shard passes through — socket
-     * Result frames and coordinator-local runs. The first answer
-     * posts at once unless a quorum cross-check is pending for it;
-     * then the second answer decides.
+     * Result frames (@p from their worker) and coordinator-local runs
+     * (@p from null). The first answer posts at once unless a quorum
+     * cross-check is pending for it; then a second answer, from
+     * another worker, decides.
      */
     void
-    handleResultLineLocked(const std::string &line)
+    handleResultLineLocked(const std::string &line, const Worker *from)
     {
         ShardOutcome out;
         if (!parseShardOutcome(line, out))
             return; // torn frame; the lease stays re-leasable
-        std::size_t index = out.index;
-
-        // Retire the lease wherever it is held (keeping a copy: a
-        // later divergence needs it to re-lease or re-run the shard).
-        ShardLease lease;
-        bool has_lease = false;
-        auto it = outstanding.find(index);
-        if (it != outstanding.end()) {
-            lease = it->second.lease;
-            has_lease = true;
-            outstanding.erase(it);
-            for (auto &worker : workers) {
-                auto held = std::find(worker->held.begin(),
-                                      worker->held.end(), index);
-                if (held != worker->held.end())
-                    worker->held.erase(held);
-            }
+        auto it = shards.find(out.index);
+        if (it == shards.end()) {
+            ++stats.duplicateResults; // posted already
+            return;
         }
-
-        if (poisoned.count(index) || open.count(index) == 0) {
-            // A straggler: the index was posted already (or never
-            // submitted), or caught diverging, and then only the local
-            // authoritative re-run may settle it.
-            quorumPending.erase(index);
+        Shard &shard = it->second;
+        std::erase(shard.holders, from);
+        if (shard.check == Check::Diverged ||
+            (shard.first && shard.firstFrom == from)) {
+            // Caught diverging, so only the local re-run may settle
+            // it; or a duplicated frame of the first answer.
             ++stats.duplicateResults;
             return;
         }
-
-        auto first = unverified.find(index);
-        if (first == unverified.end()) {
-            if (quorumPending.count(index) == 0) {
-                postLocked(index, std::move(out));
-                return;
-            }
-            std::string key = canonicalResultKey(out);
-            unverified.emplace(index,
-                               Unverified{std::move(out), std::move(key),
-                                          std::move(lease), has_lease});
+        if (shard.check != Check::Pending) {
+            postLocked(it, std::move(out));
+            return;
+        }
+        if (!shard.first) {
+            shard.firstKey = canonicalResultKey(out);
+            shard.first = std::move(out);
+            shard.firstFrom = from;
             return;
         }
 
         // The cross-check: a second answer for a sampled index.
-        quorumPending.erase(index);
-        if (first->second.key == canonicalResultKey(out)) {
+        if (shard.firstKey == canonicalResultKey(out)) {
             ++stats.duplicateResults;
-            postLocked(index, std::move(first->second.out));
-            unverified.erase(first);
+            postLocked(it, std::move(shard.first));
             return;
         }
         // Two workers returned byte-different records for the same
@@ -684,18 +637,10 @@ struct FleetCoordinator::Impl final : ShardExecutor
         // digest. Neither copy can be trusted — quarantine the index
         // and queue the authoritative local tiebreak, which posts it.
         ++stats.quorumDivergences;
-        stats.divergedIndices.push_back(index);
-        if (!first->second.hasLease && !has_lease) {
-            // Without a lease to re-run from (shouldn't happen for
-            // leased shards) the first answer has to stand.
-            postLocked(index, std::move(first->second.out));
-        } else {
-            poisoned.insert(index);
-            repairQueue.push_back(first->second.hasLease
-                                      ? std::move(first->second.lease)
-                                      : std::move(lease));
-        }
-        unverified.erase(first);
+        stats.divergedIndices.push_back(it->first);
+        shard.check = Check::Diverged;
+        shard.first.reset();
+        repairQueue.push_back(it->first);
     }
 
     // ---- the executor interface (driving thread) -------------------
@@ -705,14 +650,16 @@ struct FleetCoordinator::Impl final : ShardExecutor
     {
         std::optional<ShardLease> lease = source.leaseForSeed(spec.seed);
         std::lock_guard<std::mutex> lock(mutex);
-        open.insert(index);
+        Shard &shard = shards[index];
         if (!lease || lease->name != spec.name) {
             // Not describable on the wire: run it here.
-            localOnly.emplace_back(std::move(spec), index);
+            shard.spec = std::move(spec);
+            localOnly.push_back(index);
             return;
         }
         lease->index = index;
-        pending.push_back(std::move(*lease));
+        shard.lease = std::move(lease);
+        pending.push_back(index);
         topUpAllLocked();
         // Quorum duplicates go out under this same mutex hold, so no
         // sampled result can arrive before its duplicate lease exists
@@ -731,8 +678,8 @@ struct FleetCoordinator::Impl final : ShardExecutor
 
     /**
      * Run what only this thread can run, wait up to 100 ms for posts,
-     * then do the fleet's upkeep: reap silent workers, re-lease
-     * overdue leases, top up, sample and expire cross-checks.
+     * then do the fleet's upkeep: reap silent workers, top up, sample
+     * cross-checks, duplicate stragglers and expire cross-checks.
      */
     std::vector<Post>
     wait(bool) override
@@ -743,9 +690,9 @@ struct FleetCoordinator::Impl final : ShardExecutor
             return !posts.empty() || localWorkLocked();
         });
         reapSilentLocked();
-        releaseOverdueLocked();
         topUpAllLocked();
         enforceQuorumLocked();
+        duplicateStragglersLocked();
         expireQuorumLocked();
         return std::exchange(posts, {});
     }
@@ -755,78 +702,62 @@ struct FleetCoordinator::Impl final : ShardExecutor
     stop() override
     {
         std::lock_guard<std::mutex> lock(mutex);
-        for (const ShardLease &lease : pending)
-            postLocked(lease.index, std::nullopt);
-        pending.clear();
-        for (const auto &[spec, index] : localOnly)
-            postLocked(index, std::nullopt);
-        localOnly.clear();
+        for (std::size_t index : std::exchange(pending, {}))
+            postLocked(shards.find(index), std::nullopt);
+        for (std::size_t index : std::exchange(localOnly, {}))
+            postLocked(shards.find(index), std::nullopt);
     }
 
     // ---- local execution (coordinator as worker of last resort) -----
 
-    /** Run one shard here under the workers' supervision policy. */
-    ShardOutcome
-    runHere(ShardSpec spec, std::size_t index)
-    {
-        if (!localRunner)
-            localRunner = std::make_unique<ShardRunner>(cfg);
-        return localRunner->run(std::move(spec), index);
-    }
-
-    /** Run one shard here, through the same serialize/parse funnel a
-     *  socket result takes, so every path yields identical records. */
-    void
-    runLocally(ShardSpec spec, std::size_t index)
-    {
-        ShardOutcome out = runHere(std::move(spec), index);
-        std::string line = shardOutcomeToJson(out);
-        std::lock_guard<std::mutex> lock(mutex);
-        ++stats.localRuns;
-        handleResultLineLocked(line);
-    }
-
     /**
      * Run, unlocked, every shard no worker can take: local-only
-     * shards, pending leases while the fleet is empty, and repairs. A
-     * repair re-runs a quarantined lease through the deterministic
-     * local ShardRunner and posts that answer as authoritative: the
-     * untrusted copies were discarded, so the corrupt result never
-     * reaches the merge or the aggregates.
+     * shards, repairs, and pending leases while the fleet is empty.
+     * Each runs under the workers' supervision policy and passes the
+     * same serialize/parse funnel a socket result takes, so every path
+     * yields identical records. A repair re-runs a quarantined lease
+     * and posts that answer as authoritative: the untrusted copies
+     * were discarded, so the corrupt result never reaches the merge or
+     * the aggregates.
      */
     void
     runLocalWork()
     {
-        while (!localOnly.empty()) {
-            auto [spec, index] = std::move(localOnly.front());
-            localOnly.pop_front();
-            runLocally(std::move(spec), index);
-        }
         for (;;) {
-            ShardLease lease;
+            std::size_t index = 0;
+            ShardSpec spec;
+            std::optional<ShardLease> lease;
             bool repair = false;
             {
                 std::lock_guard<std::mutex> lock(mutex);
-                if (!repairQueue.empty()) {
-                    lease = std::move(repairQueue.front());
+                if (!localOnly.empty()) {
+                    index = localOnly.front();
+                    localOnly.pop_front();
+                    spec = std::move(shards.at(index).spec);
+                } else if (!repairQueue.empty()) {
+                    index = repairQueue.front();
                     repairQueue.pop_front();
+                    lease = shards.at(index).lease;
                     repair = true;
                 } else if (noFleetLocked() && !pending.empty()) {
-                    lease = std::move(pending.front());
+                    index = pending.front();
                     pending.pop_front();
+                    lease = shards.at(index).lease;
                 } else {
                     return;
                 }
             }
-            if (!repair) {
-                runLocally(leaseToSpec(lease), lease.index);
-                continue;
-            }
-            ShardOutcome out = runHere(leaseToSpec(lease), lease.index);
+            if (lease)
+                spec = leaseToSpec(*lease);
+            if (!localRunner)
+                localRunner = std::make_unique<ShardRunner>(cfg);
+            ShardOutcome out = localRunner->run(std::move(spec), index);
             std::lock_guard<std::mutex> lock(mutex);
             ++stats.localRuns;
-            poisoned.erase(lease.index);
-            postLocked(lease.index, std::move(out));
+            if (repair)
+                postLocked(shards.find(index), std::move(out));
+            else
+                handleResultLineLocked(shardOutcomeToJson(out), nullptr);
         }
     }
 

@@ -23,21 +23,27 @@
  * reports batches strictly in global shard-index order. That
  * index-ordered drain is what makes the guided scheduler's decision
  * sequence, and every aggregate, a pure function of the master seed,
- * whatever the worker count, arrival order, steal history, or resume
- * state.
+ * whatever the worker count, arrival order, re-lease history, or
+ * resume state.
  *
- * Resilience: workers heartbeat; a worker that disconnects, dies, or
- * goes silent past the heartbeat timeout has its outstanding leases
- * returned to the pending queue and re-leased (work stealing's
- * recovery half). An idle worker may request work (Steal frame) and be
- * handed a duplicate of the oldest lease still outstanding elsewhere
- * (the proactive half); the first answer for an index is posted and
- * later ones are dropped as duplicates. With verifyQuorum, a sampled
- * index is answered twice and posted only once both answers agree, or
- * once the local re-run that settles a disagreement lands. With
- * localFallback the coordinator executes stranded leases itself
- * through the same ShardRunner a worker would use, so a campaign
- * always completes even if every worker dies.
+ * Resilience. The coordinator keeps one record per submitted index
+ * until it posts: the lease, the workers holding it, when it was
+ * issued and its quorum-check state. A lease is recovered three ways:
+ *   - a worker that disconnects, dies, or goes silent past the
+ *     heartbeat timeout has its sole-held leases returned to the front
+ *     of the pending queue, in index order, and re-leased;
+ *   - a worker whose heartbeat says it is idle and has taken every
+ *     lease sent to it owes no answer, so an index still listed as held
+ *     by it lost its Result on the wire and is returned the same way;
+ *   - the straggler rule: a lease held by exactly one worker for longer
+ *     than stragglerSeconds is duplicated, oldest first, onto a worker
+ *     that holds nothing. The first answer for an index is posted and
+ *     later ones are dropped as duplicates.
+ * With verifyQuorum, a sampled index is answered twice and posted only
+ * once both answers agree, or once the local re-run that settles a
+ * disagreement lands. With localFallback the coordinator executes
+ * stranded leases itself through the same ShardRunner a worker would
+ * use, so a campaign always completes even if every worker dies.
  *
  * expectedWorkers == 0 is the degenerate fleet: no socket is opened
  * and every lease runs locally, in index order, through the identical
@@ -80,11 +86,10 @@ struct CoordinatorConfig : ShardPolicy
     /** Max seconds to wait for expectedWorkers to connect. */
     double workerWaitSeconds = 30.0;
 
-    /** Re-lease an outstanding lease after this long; 0 disables. */
-    double leaseTimeoutSeconds = 0.0;
-    /** A Steal request only duplicates leases outstanding at least
-     *  this long — younger ones are presumed healthily in progress. */
-    double stealMinAgeSeconds = 2.0;
+    /** Duplicate a lease held by one worker for longer than this onto
+     *  an idle worker; younger ones are presumed healthily in
+     *  progress. */
+    double stragglerSeconds = 2.0;
     /** Declare a silent worker dead after this long. */
     double heartbeatTimeoutSeconds = 10.0;
     /** Max leases a worker holds (running + queued). */
@@ -137,7 +142,7 @@ struct FleetResult
 
     unsigned workersSeen = 0;       ///< connections accepted
     std::uint64_t leasesIssued = 0; ///< Lease frames sent
-    std::uint64_t releases = 0;     ///< re-leases (death + steal)
+    std::uint64_t releases = 0;     ///< re-leases and straggler copies
     std::uint64_t duplicateResults = 0;
     std::uint64_t localRuns = 0; ///< leases executed by the coordinator
 

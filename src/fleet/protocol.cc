@@ -41,7 +41,6 @@ serializeHello(const HelloMsg &msg)
     w.key("v").value(msg.protocolVersion);
     w.key("worker").value(msg.worker);
     w.key("pid").value(msg.pid);
-    w.key("slots").value(msg.slots);
     w.endObject();
     return w.str();
 }
@@ -57,14 +56,11 @@ parseHello(const std::string &payload, HelloMsg &out)
     const JsonValue *worker =
         expect(root, "worker", JsonValue::Type::String);
     const JsonValue *pid = expect(root, "pid", JsonValue::Type::Number);
-    const JsonValue *slots =
-        expect(root, "slots", JsonValue::Type::Number);
-    if (!v || !worker || !pid || !slots)
+    if (!v || !worker || !pid)
         return false;
     out.protocolVersion = static_cast<unsigned>(v->asU64());
     out.worker = worker->string;
     out.pid = pid->asU64();
-    out.slots = static_cast<unsigned>(slots->asU64());
     return true;
 }
 
@@ -127,8 +123,8 @@ serializeHeartbeat(const HeartbeatMsg &msg)
 {
     JsonWriter w;
     w.beginObject();
-    w.key("inflight").value(msg.inflight);
-    w.key("completed").value(msg.completed);
+    w.key("idle").value(msg.idle);
+    w.key("leases_taken").value(msg.leasesTaken);
     w.endObject();
     return w.str();
 }
@@ -140,14 +136,13 @@ parseHeartbeat(const std::string &payload, HeartbeatMsg &out)
     if (!parseJson(payload, root) ||
         root.type != JsonValue::Type::Object)
         return false;
-    const JsonValue *inflight =
-        expect(root, "inflight", JsonValue::Type::Number);
-    const JsonValue *completed =
-        expect(root, "completed", JsonValue::Type::Number);
-    if (!inflight || !completed)
+    const JsonValue *idle = expect(root, "idle", JsonValue::Type::Bool);
+    const JsonValue *taken =
+        expect(root, "leases_taken", JsonValue::Type::Number);
+    if (!idle || !taken)
         return false;
-    out.inflight = inflight->asU64();
-    out.completed = completed->asU64();
+    out.idle = idle->boolean;
+    out.leasesTaken = taken->asU64();
     return true;
 }
 

@@ -35,10 +35,13 @@ namespace drf::fleet
  * Protocol revision; bumped on any frame/payload change.
  * v2: CRC32C frame checksums (wire.hh) and digest-stamped Result
  * payloads. v1 peers fail the frame checksum before they can even
- * introduce themselves; a v2 peer speaking to a newer coordinator is
- * rejected here, at the Hello handshake.
+ * introduce themselves.
+ * v3: no Steal frame and no Hello slot count; the Heartbeat carries
+ * idle and leasesTaken, from which the coordinator recovers lost
+ * Results. A peer of another revision is rejected here, at the Hello
+ * handshake.
  */
-constexpr unsigned kProtocolVersion = 2;
+constexpr unsigned kProtocolVersion = 3;
 
 /** Worker introduction (first frame on a new connection). */
 struct HelloMsg
@@ -46,7 +49,6 @@ struct HelloMsg
     unsigned protocolVersion = kProtocolVersion;
     std::string worker; ///< display name, e.g. "host:pid"
     std::uint64_t pid = 0;
-    unsigned slots = 1; ///< concurrent shards this worker runs
 };
 
 /**
@@ -63,11 +65,16 @@ struct WelcomeMsg : ShardPolicy
     unsigned heartbeatMs = 500;
 };
 
-/** Periodic worker liveness + progress. */
+/** Periodic worker liveness + idleness. */
 struct HeartbeatMsg
 {
-    std::uint64_t inflight = 0;  ///< leases held right now
-    std::uint64_t completed = 0; ///< results sent so far
+    /** The lease queue is empty and nothing is running, decided under
+     *  the lock that hands a lease to the runner: every Result owed
+     *  went out before this heartbeat. */
+    bool idle = false;
+    /** Leases the worker has taken this session; the coordinator
+     *  compares it with the Lease frames it sent. */
+    std::uint64_t leasesTaken = 0;
 };
 
 std::string serializeHello(const HelloMsg &msg);
@@ -85,8 +92,8 @@ bool parseLease(const std::string &payload, ShardLease &out);
 /**
  * Reconstruct the runnable shard a lease describes. The returned
  * spec's preset name must equal lease.name — a mismatch means the two
- * ends disagree about genomeToPreset and the worker must refuse the
- * lease rather than run the wrong configuration.
+ * ends disagree about genomeToPreset, and the worker answers the lease
+ * with a HostCrash outcome rather than run the wrong configuration.
  */
 ShardSpec leaseToSpec(const ShardLease &lease);
 

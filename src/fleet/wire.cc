@@ -46,7 +46,6 @@ msgTypeName(MsgType type)
       case MsgType::Lease: return "lease";
       case MsgType::Result: return "result";
       case MsgType::Heartbeat: return "heartbeat";
-      case MsgType::Steal: return "steal";
       case MsgType::Shutdown: return "shutdown";
     }
     return "?";

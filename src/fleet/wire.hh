@@ -40,15 +40,15 @@
 namespace drf::fleet
 {
 
-/** Frame types of the coordinator/worker protocol (protocol.hh). */
+/** Frame types of the coordinator/worker protocol (protocol.hh). Type 6
+ *  was the Steal frame of protocol v2 and stays unassigned. */
 enum class MsgType : std::uint8_t
 {
-    Hello = 1,     ///< worker -> coordinator: introduce + capacity
+    Hello = 1,     ///< worker -> coordinator: introduce
     Welcome = 2,   ///< coordinator -> worker: supervision policy
     Lease = 3,     ///< coordinator -> worker: run this shard
     Result = 4,    ///< worker -> coordinator: journal record of a shard
-    Heartbeat = 5, ///< worker -> coordinator: liveness + progress
-    Steal = 6,     ///< worker -> coordinator: queue empty, send work
+    Heartbeat = 5, ///< worker -> coordinator: liveness + idleness
     Shutdown = 7,  ///< coordinator -> worker: campaign over, exit
 };
 

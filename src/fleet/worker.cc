@@ -130,7 +130,7 @@ enum class SessionEnd
 /** One connected session: handshake through Shutdown/loss. */
 SessionEnd
 runSession(int fd, const WorkerConfig &cfg, chaos::WireChaos *wc,
-           std::atomic<std::uint64_t> &completed)
+           std::uint64_t &completed)
 {
     HelloMsg hello;
     hello.worker = cfg.name.empty()
@@ -155,9 +155,10 @@ runSession(int fd, const WorkerConfig &cfg, chaos::WireChaos *wc,
     std::mutex mutex;
     std::condition_variable cv;
     std::deque<ShardLease> queue; // depth enforced coordinator-side
+    bool running = false;         // a lease taken, its Result not sent
+    std::uint64_t leases_taken = 0;
     std::atomic<bool> done{false};
     std::atomic<bool> got_shutdown{false};
-    std::atomic<std::uint64_t> inflight{0};
     std::mutex send_mutex; // Result and Heartbeat frames interleave
 
     runner.setStopCheck(
@@ -176,9 +177,11 @@ runSession(int fd, const WorkerConfig &cfg, chaos::WireChaos *wc,
                 continue;
             ShardLease lease;
             if (!parseLease(frame.payload, lease)) {
+                // Never counted as taken, so the idle rule cannot
+                // recover it; the straggler rule copies it elsewhere.
                 std::fprintf(stderr,
                               "fleet worker: unparseable lease\n");
-                continue; // coordinator's timeout recovers it
+                continue;
             }
             {
                 std::lock_guard<std::mutex> lock(mutex);
@@ -200,26 +203,25 @@ runSession(int fd, const WorkerConfig &cfg, chaos::WireChaos *wc,
             if (done.load(std::memory_order_acquire))
                 break;
             HeartbeatMsg hb;
-            hb.inflight = inflight.load(std::memory_order_relaxed);
-            hb.completed = completed.load(std::memory_order_relaxed);
-            bool idle;
             {
                 std::lock_guard<std::mutex> lock(mutex);
-                idle = queue.empty() && hb.inflight == 0;
+                hb.idle = queue.empty() && !running;
+                hb.leasesTaken = leases_taken;
             }
             std::lock_guard<std::mutex> send_lock(send_mutex);
             if (!chaosSend(fd, wc, MsgType::Heartbeat,
                            serializeHeartbeat(hb)))
                 break;
-            if (idle)
-                chaosSend(fd, wc, MsgType::Steal, "");
         }
     });
 
     for (;;) {
         ShardLease lease;
         {
+            // The previous lease's Result went out before this lock is
+            // taken, so a heartbeat that sees !running sends after it.
             std::unique_lock<std::mutex> lock(mutex);
+            running = false;
             cv.wait(lock, [&] {
                 return !queue.empty() ||
                        done.load(std::memory_order_acquire);
@@ -228,21 +230,27 @@ runSession(int fd, const WorkerConfig &cfg, chaos::WireChaos *wc,
                 break; // done and drained
             lease = std::move(queue.front());
             queue.pop_front();
+            running = true;
+            ++leases_taken;
         }
-        inflight.fetch_add(1, std::memory_order_relaxed);
         ShardSpec spec = leaseToSpec(lease);
-        if (spec.name != lease.name) {
-            // The two ends disagree about genomeToPreset; running the
-            // wrong configuration would poison the campaign. Drop the
-            // lease; the coordinator re-leases it elsewhere.
-            std::fprintf(stderr,
-                          "fleet worker: lease name mismatch "
-                          "('%s' vs '%s'), refusing\n",
-                          lease.name.c_str(), spec.name.c_str());
-            inflight.fetch_sub(1, std::memory_order_relaxed);
-            continue;
+        ShardOutcome out;
+        if (spec.name == lease.name) {
+            out = runner.run(std::move(spec), lease.index);
+        } else {
+            // The two ends disagree about genomeToPreset. Running the
+            // wrong configuration would poison the campaign, and
+            // dropping the lease would have it handed back here
+            // forever: fail the shard loudly instead.
+            out.name = lease.name;
+            out.seed = lease.seed;
+            out.index = lease.index;
+            out.result.passed = false;
+            out.result.failureClass = FailureClass::HostCrash;
+            out.result.report = "lease name mismatch: coordinator '" +
+                                lease.name + "', worker '" + spec.name +
+                                "'";
         }
-        ShardOutcome out = runner.run(std::move(spec), lease.index);
         std::string line = shardOutcomeToJson(out);
         std::string wire_line = line;
         if (cfg.corruptEveryN != 0 &&
@@ -254,9 +262,7 @@ runSession(int fd, const WorkerConfig &cfg, chaos::WireChaos *wc,
         const std::string &digest_over =
             cfg.corruptSilently ? wire_line : line;
         std::string payload = stampDigest(digest_over, wire_line);
-        std::uint64_t nth =
-            completed.load(std::memory_order_relaxed) + 1;
-        if (cfg.dieOnResult != 0 && nth >= cfg.dieOnResult) {
+        if (cfg.dieOnResult != 0 && completed + 1 >= cfg.dieOnResult) {
             // Crash injection: die holding the result, never send it.
             ::raise(SIGKILL);
         }
@@ -268,8 +274,7 @@ runSession(int fd, const WorkerConfig &cfg, chaos::WireChaos *wc,
                 break;
             }
         }
-        completed.fetch_add(1, std::memory_order_relaxed);
-        inflight.fetch_sub(1, std::memory_order_relaxed);
+        ++completed;
     }
 
     done.store(true, std::memory_order_release);
@@ -296,7 +301,7 @@ runWorker(const WorkerConfig &cfg)
         wire_chaos = std::make_unique<chaos::WireChaos>(cfg.chaosSeed,
                                                         cfg.wireChaos);
 
-    std::atomic<std::uint64_t> completed{0};
+    std::uint64_t completed = 0; // results sent, across sessions
     bool ever_connected = false;
     unsigned attempts = 0;
     for (;;) {

@@ -9,13 +9,18 @@
  * retries, and times out identically wherever it runs.
  *
  * Protocol from the worker's side:
- *   connect → Hello → Welcome → { Lease* → Result* | Steal |
- *   Heartbeat }* → Shutdown/EOF → exit.
+ *   connect → Hello → Welcome → { Lease* → Result* | Heartbeat }* →
+ *   Shutdown/EOF → exit.
  *
  * The coordinator bounds the worker's queue (queueDepth leases
- * outstanding); the worker additionally sends Steal when idle so
- * stragglers elsewhere get duplicated onto it. A heartbeat thread keeps
- * the connection visibly alive while a long shard runs.
+ * outstanding). A heartbeat thread keeps the connection visibly alive
+ * while a long shard runs, and reports whether the worker is idle and
+ * how many leases it has taken this session: an idle worker that has
+ * taken every lease sent to it owes no Result, so the coordinator
+ * re-leases whatever it still lists as held there. A lease whose name
+ * does not match the worker's own leaseToSpec is answered with a
+ * HostCrash outcome naming both names, so a fleet whose binaries
+ * disagree stops loudly instead of cycling the lease.
  *
  * Result integrity: every Result payload is stamped with an FNV-1a64
  * digest of the record line ("%016llx <line>"), computed independently

@@ -540,8 +540,7 @@ TEST(ChaosFleet, WireFlipsAreDetectedAndAggregatesMatchGolden)
     cfg.workers = 2;
     cfg.wireChaos.flipPct = 12;
     cfg.coordinator.chaosSeed = 42;
-    cfg.coordinator.leaseTimeoutSeconds = 1.0;
-    cfg.coordinator.stealMinAgeSeconds = 0.3;
+    cfg.coordinator.stragglerSeconds = 0.3;
     cfg.maxReconnects = 20;
 
     // Rates are probabilistic per frame; try a few seeds until a flip
@@ -594,8 +593,7 @@ TEST(ChaosFleet, DigestMismatchIsCaughtWithoutQuorum)
     cfg.workers = 2;
     cfg.corruptEveryN = 2; // non-silent: digest covers the true line
     cfg.corruptSilently = false;
-    cfg.coordinator.leaseTimeoutSeconds = 1.0;
-    cfg.coordinator.stealMinAgeSeconds = 0.3;
+    cfg.coordinator.stragglerSeconds = 0.3;
     cfg.maxReconnects = 20;
 
     ChaosRun chaotic = runChaosFleet(21, cfg);

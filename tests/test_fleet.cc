@@ -4,8 +4,8 @@
  * bit-exact double transport), journal replay into the shard merge,
  * and end-to-end coordinator/worker campaigns — the
  * distributed aggregates must be byte-identical to the workers=0
- * degenerate fleet, with workers killed mid-campaign, with proactive
- * steals, and across a halt + resume.
+ * degenerate fleet, with workers killed mid-campaign, with straggler
+ * copies, with a Result lost on the wire, and across a halt + resume.
  *
  * The end-to-end suite forks real worker processes (through
  * runLocalFleet, which forks before the coordinator spawns any
@@ -15,7 +15,8 @@
  * against a listening FleetCoordinator): no fork, so it runs under
  * ThreadSanitizer, and it checks the streaming pull rule, the
  * index-ordered drain and the stop contract without wall-clock
- * assertions.
+ * assertions. Some of its workers are driven frame by frame by the
+ * test (HandWorker), to lose a Result or send a bare one on purpose.
  */
 
 #include <gtest/gtest.h>
@@ -24,11 +25,14 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #define DRF_TEST_HAVE_SOCKETPAIR 1
@@ -38,6 +42,8 @@
 
 #include "campaign/journal.hh"
 #include "campaign/campaign.hh"
+#include "campaign/supervisor.hh"
+#include "chaos/chaos.hh"
 #include "fleet/fleet.hh"
 #include "fleet/protocol.hh"
 #include "fleet/wire.hh"
@@ -158,7 +164,7 @@ TEST(FleetWire, FrameRoundTrip)
     std::string binary("\x00\x01\xff{\"k\":1}\n", 10);
     ASSERT_TRUE(sendFrame(fds[0], fleet::MsgType::Hello, "hello"));
     ASSERT_TRUE(sendFrame(fds[0], fleet::MsgType::Result, binary));
-    ASSERT_TRUE(sendFrame(fds[0], fleet::MsgType::Steal, ""));
+    ASSERT_TRUE(sendFrame(fds[0], fleet::MsgType::Shutdown, ""));
 
     Frame f;
     ASSERT_TRUE(recvFrame(fds[1], f));
@@ -168,7 +174,7 @@ TEST(FleetWire, FrameRoundTrip)
     EXPECT_EQ(fleet::MsgType::Result, f.type);
     EXPECT_EQ(binary, f.payload);
     ASSERT_TRUE(recvFrame(fds[1], f));
-    EXPECT_EQ(fleet::MsgType::Steal, f.type);
+    EXPECT_EQ(fleet::MsgType::Shutdown, f.type);
     EXPECT_TRUE(f.payload.empty());
 
     ::close(fds[0]);
@@ -219,12 +225,11 @@ TEST(FleetProtocol, HelloWelcomeHeartbeatRoundTrip)
     HelloMsg hello;
     hello.worker = "host-7:1234";
     hello.pid = 1234;
-    hello.slots = 3;
     HelloMsg hello2;
     ASSERT_TRUE(parseHello(serializeHello(hello), hello2));
+    EXPECT_EQ(3u, hello2.protocolVersion);
     EXPECT_EQ(hello.worker, hello2.worker);
     EXPECT_EQ(hello.pid, hello2.pid);
-    EXPECT_EQ(hello.slots, hello2.slots);
 
     WelcomeMsg welcome;
     welcome.forkIsolation = true;
@@ -244,12 +249,12 @@ TEST(FleetProtocol, HelloWelcomeHeartbeatRoundTrip)
     EXPECT_EQ(welcome.heartbeatMs, welcome2.heartbeatMs);
 
     HeartbeatMsg hb;
-    hb.inflight = 2;
-    hb.completed = 40;
+    hb.idle = true;
+    hb.leasesTaken = 40;
     HeartbeatMsg hb2;
     ASSERT_TRUE(parseHeartbeat(serializeHeartbeat(hb), hb2));
-    EXPECT_EQ(hb.inflight, hb2.inflight);
-    EXPECT_EQ(hb.completed, hb2.completed);
+    EXPECT_EQ(hb.idle, hb2.idle);
+    EXPECT_EQ(hb.leasesTaken, hb2.leasesTaken);
 }
 
 TEST(FleetProtocol, LeaseRoundTripIsBitExact)
@@ -433,8 +438,8 @@ TEST(StreamingMerge, EmbeddedNewlinePayloadStaysOneJournalLine)
 
 TEST(StreamingMerge, SealedAndBareRecordsCoexistOnResume)
 {
-    // Journals written before the CRC envelope (or by a writer with
-    // crcRecords off) must stay loadable next to sealed records.
+    // Journals written before the CRC envelope must stay loadable next
+    // to sealed records.
     std::string path = tempPath("mixed_seal.jsonl");
     {
         std::ofstream out(path, std::ios::trunc);
@@ -738,6 +743,98 @@ journaledIndices(const std::string &path)
     return indices;
 }
 
+/** A TCP socket connected to 127.0.0.1:@p port, or -1. */
+int
+connectLocal(unsigned short port)
+{
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                             sizeof(addr)) != 0) {
+        ::close(fd);
+        fd = -1;
+    }
+    return fd;
+}
+
+/** A fleet worker the test drives frame by frame over a real socket. */
+struct HandWorker
+{
+    int fd = -1;
+    WelcomeMsg welcome;
+
+    explicit HandWorker(unsigned short port) : fd(connectLocal(port))
+    {
+        HelloMsg hello;
+        hello.worker = "hand";
+        Frame frame;
+        EXPECT_TRUE(fd >= 0 &&
+                    sendFrame(fd, fleet::MsgType::Hello, serializeHello(hello)) &&
+                    recvFrame(fd, frame) &&
+                    frame.type == fleet::MsgType::Welcome &&
+                    parseWelcome(frame.payload, welcome));
+    }
+    ~HandWorker() { ::close(fd); }
+
+    /** The next Lease; false once the coordinator says Shutdown or
+     *  hangs up. */
+    bool
+    nextLease(ShardLease &lease)
+    {
+        Frame frame;
+        while (recvFrame(fd, frame) && frame.type != fleet::MsgType::Shutdown) {
+            if (frame.type == fleet::MsgType::Lease)
+                return parseLease(frame.payload, lease);
+        }
+        return false;
+    }
+
+    /** The record line a real worker computes for @p lease. */
+    std::string
+    run(const ShardLease &lease) const
+    {
+        ShardRunner runner(welcome);
+        return shardOutcomeToJson(
+            runner.run(leaseToSpec(lease), lease.index));
+    }
+
+    /** Send @p line as a Result, digest-stamped as a real worker does. */
+    void
+    sendResult(const std::string &line) const
+    {
+        char head[20];
+        std::snprintf(head, sizeof(head), "%016llx ",
+                      static_cast<unsigned long long>(chaos::fnv1a64(line)));
+        sendFrame(fd, fleet::MsgType::Result, head + line);
+    }
+};
+
+/**
+ * One campaign on a coordinator whose only worker is @p drive, run on
+ * a thread against the bound port.
+ */
+template <typename Drive>
+FleetResult
+runHandFleet(ShardSource &source, CoordinatorConfig cfg, Drive drive)
+{
+    cfg.campaign.jobs = 1;
+    cfg.expectedWorkers = 1;
+    cfg.workerWaitSeconds = 20.0;
+    FleetCoordinator coordinator(source, cfg);
+    EXPECT_TRUE(coordinator.listen());
+    const unsigned short port = coordinator.boundPort();
+    std::thread worker([port, &drive] {
+        HandWorker hand(port);
+        drive(hand);
+    });
+    FleetResult result = coordinator.run();
+    worker.join();
+    return result;
+}
+
 } // namespace
 
 TEST(FleetStreaming, SweepPullsTheNextBatchBeforeReportingThisOne)
@@ -874,17 +971,19 @@ TEST(FleetStreaming, OneRoundPullsOneBatchAndResumesBitIdentically)
     std::remove(journal.c_str());
 }
 
-TEST(FleetStreaming, StealDuplicatesNeverReachTheAggregates)
+TEST(FleetStreaming, StragglerDuplicatesNeverReachTheAggregates)
 {
-    // Idle workers ask for work every few milliseconds and may
-    // duplicate any outstanding lease, so second answers land both
-    // before and after their batch drained: only first answers count.
+    // With no straggler age, every upkeep copies each lease held by one
+    // worker onto an idle worker, so second answers land both before
+    // and after their batch drained: only first answers count. Idle
+    // heartbeats every few milliseconds run the lost-result rule
+    // alongside.
     const SourceConfig src_cfg = tinySourceConfig(21, 12, 3);
     const std::string golden = goldenAggregates("sweep", src_cfg);
     std::unique_ptr<ShardSource> inner = makeSource("sweep", src_cfg);
     RecordingSource source(*inner);
     CoordinatorConfig cfg;
-    cfg.stealMinAgeSeconds = 0.0;
+    cfg.stragglerSeconds = 0.0;
     cfg.heartbeatMs = 5;
     FleetResult result = runThreadFleet(source, cfg, 4);
 
@@ -924,6 +1023,124 @@ TEST(FleetStreaming, QuorumComparesEveryShardWhileBatchesOverlap)
     std::sort(diverged.begin(), diverged.end());
     EXPECT_EQ((std::vector<std::size_t>{0, 2, 4, 6, 8, 10}), diverged);
     EXPECT_EQ(golden, aggregatesOf(result));
+}
+
+TEST(FleetStreaming, LostResultIsReLeasedOnAOneWorkerFleet)
+{
+    // The only worker's first Result is lost on the wire. No other
+    // worker can take a straggler copy, so only the idle heartbeat —
+    // every lease taken, nothing running, the index still listed as
+    // held — can bring the index back.
+    const SourceConfig src_cfg = tinySourceConfig(21, 12, 3);
+    const std::string golden = goldenAggregates("sweep", src_cfg);
+    std::unique_ptr<ShardSource> source = makeSource("sweep", src_cfg);
+    FleetResult result =
+        runHandFleet(*source, {}, [](HandWorker &hand) {
+            ShardLease lease;
+            HeartbeatMsg hb;
+            hb.idle = true;
+            while (hand.nextLease(lease)) {
+                const std::string line = hand.run(lease);
+                if (++hb.leasesTaken > 1)
+                    hand.sendResult(line);
+                sendFrame(hand.fd, fleet::MsgType::Heartbeat,
+                          serializeHeartbeat(hb));
+            }
+        });
+
+    EXPECT_TRUE(result.adaptive.passed);
+    EXPECT_FALSE(result.adaptive.interrupted);
+    EXPECT_GE(result.releases, 1u);
+    EXPECT_EQ(0u, result.localRuns)
+        << "the worker, not the local fallback, must finish the campaign";
+    EXPECT_EQ(golden, aggregatesOf(result));
+}
+
+TEST(FleetStreaming, BareResultIsADigestMismatch)
+{
+    // A true record line without its digest prefix is not trusted: the
+    // worker is cut off and its leases run again.
+    const SourceConfig src_cfg = tinySourceConfig(21, 6, 3);
+    const std::string golden = goldenAggregates("sweep", src_cfg);
+    std::unique_ptr<ShardSource> source = makeSource("sweep", src_cfg);
+    FleetResult result =
+        runHandFleet(*source, {}, [](HandWorker &hand) {
+            ShardLease lease;
+            if (!hand.nextLease(lease))
+                return;
+            sendFrame(hand.fd, fleet::MsgType::Result, hand.run(lease));
+            while (hand.nextLease(lease)) {
+            }
+        });
+
+    EXPECT_TRUE(result.adaptive.passed);
+    EXPECT_EQ(1u, result.digestMismatches);
+    EXPECT_GE(result.releases, 1u);
+    EXPECT_GE(result.localRuns, 1u);
+    EXPECT_EQ(golden, aggregatesOf(result));
+}
+
+TEST(FleetStreaming, WorkerAnswersAMismatchedLeaseNameWithAHostCrash)
+{
+    // The test is the coordinator: it hands runWorker a lease whose
+    // name its leaseToSpec cannot reproduce.
+    std::unique_ptr<ShardSource> source =
+        makeSource("sweep", tinySourceConfig(21, 3, 3));
+    const std::vector<ShardSpec> batch = source->nextBatch();
+    ASSERT_FALSE(batch.empty());
+    std::optional<ShardLease> lease = source->leaseForSeed(batch[0].seed);
+    ASSERT_TRUE(lease.has_value());
+    const std::string true_name = lease->name;
+    lease->name = "renamed-" + true_name;
+    lease->index = 7;
+
+    int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listen_fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(0, ::bind(listen_fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)));
+    ASSERT_EQ(0, ::listen(listen_fd, 1));
+    ASSERT_EQ(0, ::getsockname(listen_fd,
+                               reinterpret_cast<sockaddr *>(&addr), &len));
+    WorkerConfig wc;
+    wc.port = ntohs(addr.sin_port);
+    wc.maxReconnects = 0;
+    int exit_code = -1;
+    std::thread worker([&] { exit_code = runWorker(wc); });
+
+    // Heartbeats come every 500 ms; a worker that drops the lease sends
+    // nothing else, so give up after 20 frames.
+    int fd = ::accept(listen_fd, nullptr, nullptr);
+    Frame frame;
+    bool answered = false;
+    ShardOutcome out;
+    if (recvFrame(fd, frame) && frame.type == fleet::MsgType::Hello &&
+        sendFrame(fd, fleet::MsgType::Welcome, serializeWelcome({})) &&
+        sendFrame(fd, fleet::MsgType::Lease, serializeLease(*lease))) {
+        for (int i = 0; i < 20 && recvFrame(fd, frame); ++i) {
+            if (frame.type == fleet::MsgType::Result) {
+                answered = frame.payload.size() > 17 &&
+                           parseShardOutcome(frame.payload.substr(17), out);
+                break;
+            }
+        }
+    }
+    sendFrame(fd, fleet::MsgType::Shutdown, "");
+    worker.join();
+    ::close(fd);
+    ::close(listen_fd);
+
+    ASSERT_TRUE(answered) << "the worker dropped the lease";
+    EXPECT_EQ(7u, out.index);
+    EXPECT_FALSE(out.result.passed);
+    EXPECT_EQ(FailureClass::HostCrash, out.result.failureClass);
+    EXPECT_NE(std::string::npos, out.result.report.find(lease->name));
+    EXPECT_NE(std::string::npos,
+              out.result.report.find("'" + true_name + "'"));
+    EXPECT_EQ(0, exit_code);
 }
 
 // ---------------------------------------------------------------------

@@ -172,8 +172,7 @@ runDrill(const DrillOptions &opt, const Scenario &sc,
     cfg.coordinator.expectedWorkers = workers;
     // Chaos costs sessions; keep recovery fast and the reconnect
     // budget generous so detection, not patience, is what's tested.
-    cfg.coordinator.leaseTimeoutSeconds = 1.5;
-    cfg.coordinator.stealMinAgeSeconds = 0.5;
+    cfg.coordinator.stragglerSeconds = 0.5;
     cfg.coordinator.journalPath = journalPath;
     cfg.coordinator.resume = resume;
     cfg.coordinator.verifyQuorum = sc.verifyQuorum;

@@ -23,6 +23,11 @@
  * comparison across runs; --expect-complete and --expect-releases-min
  * turn invariants into exit codes.
  *
+ * Resilience flags: --straggler-after SEC duplicates a lease one worker
+ * has held that long onto an idle worker (CoordinatorConfig::
+ * stragglerSeconds); --heartbeat-timeout SEC declares a silent worker
+ * dead; --retry-backoff MS paces transient-failure retries.
+ *
  * Chaos flags: --chaos PROFILE [--chaos-seed N] injects the named
  * deterministic fault profile (chaos/chaos.hh) — wire faults into the
  * workers' outbound frames, disk faults under the coordinator's
@@ -76,9 +81,8 @@ usage()
         "[--verify-quorum N]\n"
         "        [--corrupt-result N] [--corrupt-silent] "
         "[--triage-out FILE]\n"
-        "        [--lease-timeout SEC] [--steal-min-age SEC] "
-        "[--heartbeat-timeout SEC]\n"
-        "        [--retry-backoff MS]\n");
+        "        [--straggler-after SEC] [--heartbeat-timeout SEC] "
+        "[--retry-backoff MS]\n");
 }
 
 struct Options
@@ -111,8 +115,7 @@ struct Options
     std::uint64_t expectReleasesMin = 0;
 
     // Resilience knobs (defaults live in CoordinatorConfig).
-    double leaseTimeoutSeconds = -1.0;
-    double stealMinAgeSeconds = -1.0;
+    double stragglerSeconds = -1.0;
     double heartbeatTimeoutSeconds = -1.0;
     int retryBackoffMs = -1;
 
@@ -227,16 +230,11 @@ parseOptions(int argc, char **argv, int first, Options &opt)
             if (!v)
                 return false;
             opt.expectReleasesMin = std::strtoull(v, nullptr, 10);
-        } else if (flag == "--lease-timeout") {
+        } else if (flag == "--straggler-after") {
             const char *v = next();
             if (!v)
                 return false;
-            opt.leaseTimeoutSeconds = std::strtod(v, nullptr);
-        } else if (flag == "--steal-min-age") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opt.stealMinAgeSeconds = std::strtod(v, nullptr);
+            opt.stragglerSeconds = std::strtod(v, nullptr);
         } else if (flag == "--heartbeat-timeout") {
             const char *v = next();
             if (!v)
@@ -338,10 +336,8 @@ makeCoordinatorConfig(const Options &opt,
     cfg.journalPath = opt.journal;
     cfg.resume = opt.resume;
     cfg.maxRounds = opt.rounds;
-    if (opt.leaseTimeoutSeconds >= 0.0)
-        cfg.leaseTimeoutSeconds = opt.leaseTimeoutSeconds;
-    if (opt.stealMinAgeSeconds >= 0.0)
-        cfg.stealMinAgeSeconds = opt.stealMinAgeSeconds;
+    if (opt.stragglerSeconds >= 0.0)
+        cfg.stragglerSeconds = opt.stragglerSeconds;
     if (opt.heartbeatTimeoutSeconds >= 0.0)
         cfg.heartbeatTimeoutSeconds = opt.heartbeatTimeoutSeconds;
     if (opt.retryBackoffMs >= 0)
