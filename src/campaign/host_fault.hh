@@ -9,8 +9,10 @@
  *
  *  - Crash: raise(SIGSEGV) mid-shard — exercises fork isolation and
  *    HostCrash triage (and, in-process, the sanitizer/abort path);
- *  - Hang: spin in a sleep loop forever — exercises the watchdog
- *    deadline, child SIGKILL reaping, and HostTimeout triage;
+ *  - Hang: spin in a sleep loop forever — exercises the per-attempt
+ *    wall-clock deadline (the abandoned in-process thread, or the
+ *    forked child SIGKILLed once its pipe drain times out) and
+ *    HostTimeout triage;
  *  - Transient: throw ResourceExhaustedError until the configured
  *    attempt number is reached — exercises bounded retry. Keyed on
  *    currentShardAttempt(), which is a pure per-thread value that

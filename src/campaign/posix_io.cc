@@ -1,10 +1,13 @@
 #include "campaign/posix_io.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <csignal>
 #include <mutex>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <poll.h>
 #include <unistd.h>
 #define DRF_HAVE_POSIX_IO 1
 #else
@@ -70,38 +73,44 @@ readExact(int fd, void *buf, std::size_t len)
 #endif
 }
 
-long
-readSome(int fd, void *buf, std::size_t len)
-{
-#if DRF_HAVE_POSIX_IO
-    for (;;) {
-        ssize_t n = ::read(fd, buf, len);
-        if (n < 0 && errno == EINTR)
-            continue;
-        return static_cast<long>(n);
-    }
-#else
-    (void)fd;
-    (void)buf;
-    (void)len;
-    return -1;
-#endif
-}
-
 std::string
-readToEof(int fd)
+readToEof(int fd, std::chrono::steady_clock::time_point deadline,
+          bool *timed_out)
 {
+    using Clock = std::chrono::steady_clock;
+    *timed_out = false;
     std::string data;
 #if DRF_HAVE_POSIX_IO
     char buf[4096];
     for (;;) {
-        long n = readSome(fd, buf, sizeof(buf));
+        int wait_ms = -1;
+        if (deadline != Clock::time_point::max()) {
+            auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                            deadline - Clock::now())
+                            .count();
+            if (left <= 0) {
+                *timed_out = true;
+                break;
+            }
+            wait_ms = static_cast<int>(
+                std::min<decltype(left)>(left, INT_MAX));
+        }
+        pollfd pfd{fd, POLLIN, 0};
+        int ready = ::poll(&pfd, 1, wait_ms);
+        if (ready < 0 && errno != EINTR)
+            break;
+        if (ready <= 0)
+            continue; // EINTR or the deadline: re-check the clock
+        ssize_t n = ::read(fd, buf, sizeof(buf));
+        if (n < 0 && errno == EINTR)
+            continue;
         if (n <= 0)
             break;
         data.append(buf, static_cast<std::size_t>(n));
     }
 #else
     (void)fd;
+    (void)deadline;
 #endif
     return data;
 }

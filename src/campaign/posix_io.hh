@@ -11,6 +11,10 @@
  * gone, report it, don't die". Centralizing that here keeps the three
  * call sites from each growing a subtly different retry loop.
  *
+ * The supervisor reads its fork pipe with readToEof, a drain bounded by
+ * the shard's wall-clock deadline: that is where the parent notices a
+ * hung child, which it then SIGKILLs.
+ *
  * Writes to a closed pipe/socket normally raise SIGPIPE, whose default
  * action terminates the process before write() even returns EPIPE;
  * every fleet/pipe entry point calls ignoreSigpipe() first so the error
@@ -20,6 +24,7 @@
 #ifndef DRF_CAMPAIGN_POSIX_IO_HH
 #define DRF_CAMPAIGN_POSIX_IO_HH
 
+#include <chrono>
 #include <cstddef>
 #include <string>
 
@@ -43,13 +48,12 @@ bool writeAll(int fd, const std::string &data);
 bool readExact(int fd, void *buf, std::size_t len);
 
 /**
- * One read() of up to @p len bytes with EINTR retry. Returns the byte
- * count, 0 on EOF, -1 on a hard error — the shape poll loops want.
+ * Read until EOF or @p deadline, whichever comes first (the fork-pipe
+ * drain). time_point::max() means no deadline. Sets @p timed_out when
+ * the deadline ended the read; errors end it early without setting it.
  */
-long readSome(int fd, void *buf, std::size_t len);
-
-/** Read until EOF (the fork-pipe drain). Errors end the read early. */
-std::string readToEof(int fd);
+std::string readToEof(int fd, std::chrono::steady_clock::time_point deadline,
+                      bool *timed_out);
 
 /**
  * Process-wide, idempotent SIGPIPE -> SIG_IGN. Call before writing to

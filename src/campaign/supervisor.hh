@@ -19,16 +19,18 @@
  *    preserved. On platforms without fork() the flag degrades to the
  *    in-process barrier.
  *
- *  - Reaping. A watchdog thread enforces a per-shard wall-clock
- *    deadline (shardTimeoutSeconds): an overdue forked child is
- *    SIGKILLed, an overdue in-process shard is abandoned on its
- *    (detached) worker thread; either way the shard becomes a
- *    HostTimeout outcome and the campaign keeps going. The simulation
- *    event budget (shardEventBudget) complements it deterministically
- *    from inside the simulation — a livelocked shard that stays busy
- *    without finishing exhausts the budget and self-reports
- *    HostTimeout. Both complement the in-sim forward-progress watchdog,
- *    which can only see a *stuck* request, not a stuck host.
+ *  - Reaping. Each attempt enforces its own wall-clock deadline
+ *    (shardTimeoutSeconds) on the thread that waits for it: a forked
+ *    child's pipe is drained until the deadline and the child is then
+ *    SIGKILLed; an in-process shard's result is waited for until the
+ *    deadline and its (detached) worker thread is then abandoned.
+ *    Either way the shard becomes a HostTimeout outcome and the
+ *    campaign keeps going. The simulation event budget
+ *    (shardEventBudget) complements it deterministically from inside
+ *    the simulation — a livelocked shard that stays busy without
+ *    finishing exhausts the budget and self-reports HostTimeout. Both
+ *    complement the in-sim forward-progress watchdog, which can only
+ *    see a *stuck* request, not a stuck host.
  *
  *  - Retry. Only ResourceExhausted outcomes (fork/pipe failure, OOM,
  *    torn pipe output, injected transient faults) are retried, up to
@@ -41,8 +43,9 @@
  *  - Repro capture. Any failing shard with preset provenance
  *    (ShardSpec::gpuPreset) gets a DRFTRC01 trace re-recorded into
  *    reproDir, feeding tools/shrink_repro; host-level failures under
- *    fork isolation re-record inside a bounded child, and in-process
- *    host failures fall back to a JSON stub preserving preset + seed.
+ *    fork isolation re-record in one more forked attempt, bounded by
+ *    max(5 s, 2 x shardTimeoutSeconds), and in-process host failures
+ *    fall back to a JSON stub preserving preset + seed.
  *
  * Checkpointing and graceful shutdown are campaign-level and live in
  * the loop: with journalPath set, each merged shard is appended to an
@@ -65,7 +68,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -129,15 +131,6 @@ struct SupervisorConfig : ShardPolicy
 {
     CampaignConfig campaign;
 
-    /**
-     * Jitter added to each retry backoff, as a percentage of the base
-     * delay (0 disables). Derived deterministically from the shard's
-     * seed and the attempt number — same shard, same delays — so the
-     * retry storm of a fleet of workers de-synchronizes without
-     * introducing real randomness into a reproducible campaign.
-     */
-    unsigned retryJitterPct = 50;
-
     /** Append-only JSONL journal path; empty disables checkpointing. */
     std::string journalPath;
 
@@ -155,13 +148,14 @@ struct SupervisorConfig : ShardPolicy
 
 /**
  * Per-shard supervised execution engine: isolation (fork or in-process
- * barrier), wall-clock reaping via its own watchdog thread, the event
- * budget, bounded transient retry, and repro capture — everything the
- * supervisor does to *one* shard. The campaign loop drives one instance
- * from its thread pool; a fleet worker (src/fleet) drives one per
- * process, and the fleet coordinator one for the leases it runs
- * itself, so each shard gets the same fault containment wherever it
- * runs.
+ * barrier), the wall-clock deadline, the event budget, bounded
+ * transient retry, and repro capture into @p repro_dir — everything the
+ * supervisor does to *one* shard. It owns no thread: each attempt's
+ * deadline is enforced by the thread that called run(). The campaign
+ * loop drives one instance from its thread pool; a fleet worker
+ * (src/fleet) drives one per process, and the fleet coordinator one
+ * for the leases it runs itself, so each shard gets the same fault
+ * containment wherever it runs.
  *
  * Thread-safe: run() may be called concurrently from many threads.
  * Campaign-level policy (journal, resume, signals, merge, early stop)
@@ -171,13 +165,8 @@ struct SupervisorConfig : ShardPolicy
 class ShardRunner
 {
   public:
-    explicit ShardRunner(const SupervisorConfig &cfg);
-    /** @p policy with SupervisorConfig's defaults for everything else. */
-    explicit ShardRunner(const ShardPolicy &policy);
-    ~ShardRunner();
-
-    ShardRunner(const ShardRunner &) = delete;
-    ShardRunner &operator=(const ShardRunner &) = delete;
+    explicit ShardRunner(const ShardPolicy &policy,
+                         std::string repro_dir = {});
 
     /**
      * Install a predicate consulted before each transient retry; when
@@ -193,8 +182,9 @@ class ShardRunner
     ShardOutcome run(ShardSpec spec, std::size_t index);
 
   private:
-    struct Impl;
-    std::unique_ptr<Impl> _impl;
+    const ShardPolicy _policy;
+    const std::string _reproDir;
+    std::function<bool()> _stopCheck;
 };
 
 /**

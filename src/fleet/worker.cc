@@ -163,6 +163,14 @@ runSession(int fd, const WorkerConfig &cfg, chaos::WireChaos *wc,
 
     runner.setStopCheck(
         [&done] { return done.load(std::memory_order_acquire); });
+    // Set under the lock so no waiter on cv misses the wake-up.
+    auto end_session = [&] {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            done.store(true, std::memory_order_release);
+        }
+        cv.notify_all();
+    };
 
     std::thread reader([&] {
         for (;;) {
@@ -189,22 +197,24 @@ runSession(int fd, const WorkerConfig &cfg, chaos::WireChaos *wc,
             }
             cv.notify_all();
         }
-        done.store(true, std::memory_order_release);
-        cv.notify_all();
+        end_session();
     });
 
     std::thread heartbeat([&] {
         unsigned period = welcome.heartbeatMs == 0
                               ? 500u
                               : welcome.heartbeatMs;
-        while (!done.load(std::memory_order_acquire)) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(period));
-            if (done.load(std::memory_order_acquire))
-                break;
+        for (;;) {
             HeartbeatMsg hb;
             {
-                std::lock_guard<std::mutex> lock(mutex);
+                // Woken by the session's end, so it joins at once.
+                std::unique_lock<std::mutex> lock(mutex);
+                if (cv.wait_for(lock, std::chrono::milliseconds(period),
+                                [&] {
+                                    return done.load(
+                                        std::memory_order_acquire);
+                                }))
+                    break;
                 hb.idle = queue.empty() && !running;
                 hb.leasesTaken = leases_taken;
             }
@@ -269,17 +279,15 @@ runSession(int fd, const WorkerConfig &cfg, chaos::WireChaos *wc,
         {
             std::lock_guard<std::mutex> send_lock(send_mutex);
             if (!chaosSend(fd, wc, MsgType::Result, payload)) {
-                done.store(true, std::memory_order_release);
-                cv.notify_all();
+                end_session();
                 break;
             }
         }
         ++completed;
     }
 
-    done.store(true, std::memory_order_release);
+    end_session();
     ::shutdown(fd, SHUT_RDWR);
-    cv.notify_all();
     if (reader.joinable())
         reader.join();
     if (heartbeat.joinable())

@@ -141,7 +141,7 @@ class PoolExecutor final : public ShardExecutor
     explicit PoolExecutor(const SupervisorConfig &cfg)
         : _jobs(cfg.campaign.jobs != 0 ? cfg.campaign.jobs
                                        : ThreadPool::defaultThreads()),
-          _runner(cfg)
+          _runner(cfg, cfg.reproDir)
     {
         _runner.setStopCheck(
             [this] { return _stopped.load(std::memory_order_acquire); });

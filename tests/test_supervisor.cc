@@ -713,4 +713,34 @@ TEST(ForkIsolation, TransientRetryWorksAcrossForks)
     EXPECT_EQ(res.resourceExhausted, 0u);
 }
 
+TEST(ForkIsolation, HostFailureGetsReproTraceRecorded)
+{
+    // A crashed shard with preset provenance is re-recorded in one more
+    // forked attempt: the injected crash wraps run(), the re-record
+    // replays the clean preset, so the trace lands beside the crash.
+    std::string dir = tempPath("repros_fork");
+    std::string path = dir + "/crashy_seed21.trace";
+    std::remove(path.c_str());
+    std::vector<ShardSpec> shards;
+    GpuTestPreset preset = tinyPreset(21);
+    preset.name = "crashy/seed21";
+    shards.push_back(gpuShard(preset));
+    HostFaultInjector faults;
+    faults.arm(0, HostFaultKind::Crash);
+    faults.armShards(shards);
+
+    SupervisorConfig cfg = baseConfig(1);
+    cfg.forkIsolation = true;
+    cfg.reproDir = dir;
+    CampaignResult res =
+        runSupervisedCampaign(std::move(shards), cfg);
+    ASSERT_FALSE(res.passed);
+    EXPECT_EQ(res.hostCrashes, 1u);
+
+    ReproTrace trace;
+    ASSERT_TRUE(loadTraceFile(path, trace)) << path;
+    EXPECT_EQ(trace.tester.seed, 21u);
+    std::remove(path.c_str());
+}
+
 #endif // defined(__unix__) || defined(__APPLE__)
