@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared helpers for the per-figure bench binaries: standard ways to
- * run one GPU-tester preset or one application and collect the
- * coverage grids, campaign glue (--jobs parsing, application shards),
- * plus table-printing utilities.
+ * Shared helpers for the per-figure bench binaries: the application
+ * system and its campaign shard, --jobs parsing, plus table-printing
+ * utilities. One preset or application runs as its shard's body
+ * (gpuShard(p).run(), cpuShard(p).run(), appShard(profile).run()).
  */
 
 #ifndef DRF_BENCH_BENCH_UTIL_HH
@@ -30,64 +30,6 @@
 namespace drf::bench
 {
 
-/** Everything one run produces. */
-struct RunOutcome
-{
-    std::string name;
-    bool passed = false;
-    Tick ticks = 0;
-    std::uint64_t events = 0;
-    double hostSeconds = 0.0;
-
-    std::unique_ptr<CoverageGrid> l1;  ///< union over CUs (if GPU)
-    std::unique_ptr<CoverageGrid> l2;  ///< (if GPU)
-    std::unique_ptr<CoverageGrid> dir;
-};
-
-/** Run one Table III GPU tester preset. */
-inline RunOutcome
-runGpuPreset(const GpuTestPreset &preset)
-{
-    ApuSystem sys(preset.system);
-    GpuTester tester(sys, preset.tester);
-    TesterResult r = tester.run();
-
-    RunOutcome out;
-    out.name = preset.name;
-    out.passed = r.passed;
-    out.ticks = r.ticks;
-    out.events = r.events;
-    out.hostSeconds = r.hostSeconds;
-    out.l1 = std::make_unique<CoverageGrid>(sys.l1CoverageUnion());
-    out.l2 = std::make_unique<CoverageGrid>(sys.l2CoverageUnion());
-    out.dir = std::make_unique<CoverageGrid>(sys.directory().coverage());
-    if (!r.passed)
-        std::fprintf(stderr, "%s FAILED: %s\n", preset.name.c_str(),
-                     r.report.c_str());
-    return out;
-}
-
-/** Run one CPU tester preset. */
-inline RunOutcome
-runCpuPreset(const CpuTestPreset &preset)
-{
-    ApuSystem sys(preset.system);
-    CpuTester tester(sys, preset.tester);
-    TesterResult r = tester.run();
-
-    RunOutcome out;
-    out.name = preset.name;
-    out.passed = r.passed;
-    out.ticks = r.ticks;
-    out.events = r.events;
-    out.hostSeconds = r.hostSeconds;
-    out.dir = std::make_unique<CoverageGrid>(sys.directory().coverage());
-    if (!r.passed)
-        std::fprintf(stderr, "%s FAILED: %s\n", preset.name.c_str(),
-                     r.report.c_str());
-    return out;
-}
-
 /** The Table III application-testing system: 16 KB L1s, 256 KB L2. */
 inline ApuSystemConfig
 appSystemConfig(unsigned num_cus = 8)
@@ -100,32 +42,6 @@ appSystemConfig(unsigned num_cus = 8)
     cfg.l2.sizeBytes = 256 * 1024;
     cfg.l2.assoc = 16;
     return cfg;
-}
-
-/** Run one application on a fresh app system. */
-inline RunOutcome
-runApp(const AppProfile &profile, unsigned num_cus = 8)
-{
-    ApuSystemConfig sys_cfg = appSystemConfig(num_cus);
-    ApuSystem sys(sys_cfg);
-    AppTrace trace = generateAppTrace(profile, num_cus, 0x10'0000,
-                                      sys_cfg.lineBytes);
-    AppRunner runner(sys, std::move(trace));
-    AppResult r = runner.run();
-
-    RunOutcome out;
-    out.name = profile.name;
-    out.passed = r.completed;
-    out.ticks = r.ticks;
-    out.events = r.events;
-    out.hostSeconds = r.hostSeconds;
-    out.l1 = std::make_unique<CoverageGrid>(sys.l1CoverageUnion());
-    out.l2 = std::make_unique<CoverageGrid>(sys.l2CoverageUnion());
-    out.dir = std::make_unique<CoverageGrid>(sys.directory().coverage());
-    if (!r.completed)
-        std::fprintf(stderr, "%s did not complete\n",
-                     profile.name.c_str());
-    return out;
 }
 
 /**

@@ -39,18 +39,18 @@ main()
     CoverageGrid apps(Directory::spec());
     double apps_host = 0.0;
     for (const AppProfile &profile : makeAppSuite()) {
-        RunOutcome out = runApp(profile);
+        ShardOutcome out = appShard(profile).run();
         apps.merge(*out.dir);
-        apps_host += out.hostSeconds;
+        apps_host += out.result.hostSeconds;
     }
 
     // (b) the CPU tester sweep.
     CoverageGrid cpu(Directory::spec());
     double cpu_host = 0.0;
     for (const auto &preset : makeCpuTestSweep(/*base_seed=*/3)) {
-        RunOutcome out = runCpuPreset(preset);
+        ShardOutcome out = cpuShard(preset).run();
         cpu.merge(*out.dir);
-        cpu_host += out.hostSeconds;
+        cpu_host += out.result.hostSeconds;
     }
 
     // (c) union with the GPU tester (run serially, as in the paper).
@@ -73,9 +73,9 @@ main()
         // A dense address range maximizes same-line collisions at the
         // directory (busy-state and AtomicND transitions).
         preset.tester.variables.addrRangeBytes = 1 << 16;
-        RunOutcome out = runGpuPreset(preset);
+        ShardOutcome out = gpuShard(preset).run();
         gpu.merge(*out.dir);
-        gpu_host += out.hostSeconds;
+        gpu_host += out.result.hostSeconds;
     }
     CoverageGrid testers(Directory::spec());
     testers.merge(gpu);

@@ -21,7 +21,7 @@ using namespace drf::bench;
 namespace
 {
 
-RunOutcome
+ShardOutcome
 runClass(CacheSizeClass cache_class)
 {
     GpuTestPreset preset;
@@ -32,7 +32,7 @@ runClass(CacheSizeClass cache_class)
                                         /*episodes=*/20,
                                         /*atomic_locs=*/10,
                                         /*seed=*/1234);
-    return runGpuPreset(preset);
+    return gpuShard(preset).run();
 }
 
 } // namespace
@@ -43,8 +43,8 @@ main()
     std::printf("Fig. 5 — transition hit frequency, small vs large GPU "
                 "caches\n");
 
-    RunOutcome small = runClass(CacheSizeClass::Small);
-    RunOutcome large = runClass(CacheSizeClass::Large);
+    ShardOutcome small = runClass(CacheSizeClass::Small);
+    ShardOutcome large = runClass(CacheSizeClass::Large);
 
     header("(a) small caches: 256B 2-way L1, 1KB 2-way L2");
     small.l1->renderHeatMap(std::cout);
@@ -58,16 +58,16 @@ main()
 
     // The shape checks the paper calls out, as explicit numbers.
     header("shape checks (paper Section IV.A)");
-    auto l1_load_v = [](const RunOutcome &o) {
+    auto l1_load_v = [](const ShardOutcome &o) {
         return o.l1->count(GpuL1Cache::EvLoad, GpuL1Cache::StV);
     };
-    auto l1_repl = [](const RunOutcome &o) {
+    auto l1_repl = [](const ShardOutcome &o) {
         return o.l1->count(GpuL1Cache::EvRepl, GpuL1Cache::StV);
     };
-    auto l2_rd_v = [](const RunOutcome &o) {
+    auto l2_rd_v = [](const ShardOutcome &o) {
         return o.l2->count(GpuL2Cache::EvRdBlk, GpuL2Cache::StV);
     };
-    auto l2_repl = [](const RunOutcome &o) {
+    auto l2_repl = [](const ShardOutcome &o) {
         return o.l2->count(GpuL2Cache::EvL2Repl, GpuL2Cache::StV);
     };
     std::printf("[Load,V] hits   : small=%llu large=%llu  (large should "

@@ -36,39 +36,40 @@ main()
     CoverageGrid apps_l2(GpuL2Cache::spec());
     double apps_host = 0.0;
     for (const AppProfile &profile : makeAppSuite()) {
-        RunOutcome out = runApp(profile);
+        ShardOutcome out = appShard(profile).run();
         apps_l1.merge(*out.l1);
         apps_l2.merge(*out.l2);
-        apps_host += out.hostSeconds;
+        apps_host += out.result.hostSeconds;
     }
     double apps_l1_pct = apps_l1.coveragePct("gpu_tester");
     double apps_l2_pct = apps_l2.coveragePct("gpu_tester");
 
     // ---- GPU tester sweep, cheapest runs first ------------------------
-    std::vector<RunOutcome> runs;
+    std::vector<ShardOutcome> runs;
     for (const auto &preset : makeGpuTestSweep(/*base_seed=*/21))
-        runs.push_back(runGpuPreset(preset));
+        runs.push_back(gpuShard(preset).run());
     std::sort(runs.begin(), runs.end(),
-              [](const RunOutcome &a, const RunOutcome &b) {
-                  return a.hostSeconds < b.hostSeconds;
+              [](const ShardOutcome &a, const ShardOutcome &b) {
+                  return a.result.hostSeconds < b.result.hostSeconds;
               });
 
     CoverageGrid tester_l1(GpuL1Cache::spec());
     CoverageGrid tester_l2(GpuL2Cache::spec());
     double tester_host = 0.0;
     double time_to_match = -1.0;
-    for (const RunOutcome &run : runs) {
+    for (const ShardOutcome &run : runs) {
         // The paper's framing: a single tester run already reaches
         // "similar or higher coverage" than the whole application
         // suite; take the cheapest one that does.
         if (run.l1->coveragePct("gpu_tester") >= apps_l1_pct &&
             run.l2->coveragePct("gpu_tester") >= apps_l2_pct &&
-            (time_to_match < 0.0 || run.hostSeconds < time_to_match)) {
-            time_to_match = run.hostSeconds;
+            (time_to_match < 0.0 ||
+             run.result.hostSeconds < time_to_match)) {
+            time_to_match = run.result.hostSeconds;
         }
         tester_l1.merge(*run.l1);
         tester_l2.merge(*run.l2);
-        tester_host += run.hostSeconds;
+        tester_host += run.result.hostSeconds;
         // Fallback: the cheapest-first cumulative union reaching it.
         if (time_to_match < 0.0 &&
             tester_l1.coveragePct("gpu_tester") >= apps_l1_pct &&

@@ -9,10 +9,10 @@
  * EventQueue, its own RNG) and deterministic, which makes N seeds x M
  * configurations embarrassingly parallel. runCampaign and
  * runSupervisedCampaign (guidance/adaptive_campaign.hh) run a fixed
- * shard list on the one in-process campaign loop: shards execute on a
- * work-stealing thread pool, and their outcomes are merged here in
- * shard-index order — stat sums, union coverage, the saturation curve
- * — with an early stop when the union saturates or a shard fails
+ * shard list on the one in-process campaign loop: shards start in
+ * submission order on a FIFO thread pool, and their outcomes are merged
+ * here in shard-index order — stat sums, union coverage, the saturation
+ * curve — with an early stop when the union saturates or a shard fails
  * (preserving the first failure's seed and report for deterministic
  * single-threaded reproduction).
  *

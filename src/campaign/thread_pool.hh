@@ -1,13 +1,13 @@
 /**
  * @file
- * Work-stealing thread pool for campaign shards.
+ * Thread pool for campaign shards.
  *
- * Each worker owns a deque: it pops its own work from the front (oldest
- * first, so a single-worker pool runs jobs in exact submission order —
- * which makes jobs=1 campaigns reproduce the serial schedule) and steals
- * from the back of a sibling's deque when empty, so a long-running shard
- * on one worker never strands queued shards behind it. Submission
- * round-robins across workers to seed the deques evenly.
+ * All workers take jobs from one FIFO queue, so jobs start in
+ * submission order at any thread count; with one thread they also
+ * finish in that order, which makes jobs=1 campaigns reproduce the
+ * serial schedule. A worker that frees up always takes the oldest
+ * queued job, matching the campaign loop's index-ordered drain and the
+ * shrinker's preference for low candidates.
  *
  * Jobs must not let exceptions escape (an escaping exception terminates
  * the process, as with any detached thread); the campaign loop runs
@@ -18,12 +18,9 @@
 #ifndef DRF_CAMPAIGN_THREAD_POOL_HH
 #define DRF_CAMPAIGN_THREAD_POOL_HH
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -50,7 +47,7 @@ class ThreadPool
     /** Number of worker threads. */
     unsigned threadCount() const
     {
-        return static_cast<unsigned>(_workers.size());
+        return static_cast<unsigned>(_threads.size());
     }
 
     /** Enqueue one job. Safe to call from any thread, including jobs. */
@@ -60,12 +57,12 @@ class ThreadPool
     void waitIdle();
 
     /**
-     * Drop every queued-but-unstarted job and return how many were
-     * dropped. Jobs already executing finish normally. The campaign
-     * loop uses this when it stops early: the queue empties wholesale
-     * instead of each job being scheduled just to observe the stop.
+     * Drop every queued-but-unstarted job. Jobs already executing
+     * finish normally. The campaign loop uses this when it stops
+     * early: the queue empties wholesale instead of each job being
+     * scheduled just to observe the stop.
      */
-    std::size_t cancelPending();
+    void cancelPending();
 
     /**
      * CPUs in the calling thread's affinity mask, or hardware
@@ -74,30 +71,16 @@ class ThreadPool
     static unsigned defaultThreads();
 
   private:
-    struct Worker
-    {
-        std::mutex mutex;
-        std::deque<Job> jobs;
-    };
+    void workerLoop();
 
-    void workerLoop(unsigned idx);
-    bool popOwn(unsigned idx, Job &out);
-    bool steal(unsigned idx, Job &out);
-    bool anyQueued() const;
-
-    std::vector<std::unique_ptr<Worker>> _workers;
     std::vector<std::thread> _threads;
 
-    // _sleepMutex guards the sleep/wake handshake: submitters notify
-    // under it, workers re-check the deques under it before waiting, so
-    // a submission can never slip between check and wait.
-    mutable std::mutex _sleepMutex;
-    std::condition_variable _wake;
-    std::condition_variable _idle;
-
-    std::atomic<std::uint64_t> _inFlight{0}; ///< submitted, not finished
-    std::atomic<std::uint64_t> _nextWorker{0};
-    std::atomic<bool> _stopping{false};
+    std::mutex _mutex; ///< guards everything below
+    std::condition_variable _wake; ///< a job was queued, or stopping
+    std::condition_variable _idle; ///< queue empty and nothing running
+    std::deque<Job> _jobs;
+    unsigned _running = 0;
+    bool _stopping = false;
 };
 
 } // namespace drf

@@ -307,16 +307,6 @@ CoverageAccumulator::grid() const
     return _unions.front();
 }
 
-const CoverageGrid *
-CoverageAccumulator::gridFor(const std::string &spec_name) const
-{
-    for (const CoverageGrid &u : _unions) {
-        if (u.spec().name() == spec_name)
-            return &u;
-    }
-    return nullptr;
-}
-
 double
 CoverageAccumulator::coveragePct(const std::string &test_type) const
 {

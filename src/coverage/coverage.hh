@@ -238,9 +238,6 @@ class CoverageAccumulator
      */
     const CoverageGrid &grid() const;
 
-    /** Union for one spec name; nullptr if that spec was never added. */
-    const CoverageGrid *gridFor(const std::string &spec_name) const;
-
     /** All per-spec unions, in first-adoption order. */
     const std::vector<CoverageGrid> &grids() const { return _unions; }
 

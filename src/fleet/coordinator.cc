@@ -562,8 +562,7 @@ struct FleetCoordinator::Impl final : ShardExecutor
     bool
     noFleetLocked() const
     {
-        return cfg.expectedWorkers == 0 ||
-               (cfg.localFallback && aliveLocked() == 0);
+        return cfg.expectedWorkers == 0 || aliveLocked() == 0;
     }
 
     /** Shards only the driving thread can run right now. */
@@ -839,8 +838,8 @@ FleetCoordinator::run()
     if (cfg.expectedWorkers > 0 && im.listenFd >= 0) {
         im.acceptThread = std::thread([&im] { im.acceptLoop(); });
 
-        // Give the fleet a chance to assemble; localFallback (or late
-        // joiners) covers a shortfall.
+        // Give the fleet a chance to assemble; late joiners (or local
+        // execution, if none arrives) cover a shortfall.
         Clock::time_point wait_start = Clock::now();
         std::unique_lock<std::mutex> lock(im.mutex);
         im.cv.wait_for(

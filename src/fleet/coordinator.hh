@@ -41,7 +41,7 @@
  *     later ones are dropped as duplicates.
  * With verifyQuorum, a sampled index is answered twice and posted only
  * once both answers agree, or once the local re-run that settles a
- * disagreement lands. With localFallback the coordinator executes
+ * disagreement lands. When no worker is alive the coordinator executes
  * stranded leases itself through the same ShardRunner a worker would
  * use, so a campaign always completes even if every worker dies.
  *
@@ -104,9 +104,6 @@ struct CoordinatorConfig : ShardPolicy
     CampaignJournal::Policy journalPolicy;
     /** Adopt completed shards from journalPath before leasing. */
     bool resume = false;
-
-    /** Execute stranded leases locally if the fleet empties. */
-    bool localFallback = true;
 
     /** Stop after this many batches, marking the campaign interrupted
      *  (testing: interrupted-fleet resume); 0 = run the source to

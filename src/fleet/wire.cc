@@ -51,18 +51,6 @@ msgTypeName(MsgType type)
     return "?";
 }
 
-const char *
-wireStatusName(WireStatus status)
-{
-    switch (status) {
-      case WireStatus::Ok: return "ok";
-      case WireStatus::Eof: return "eof";
-      case WireStatus::Oversized: return "oversized";
-      case WireStatus::Corrupt: return "corrupt";
-    }
-    return "?";
-}
-
 std::string
 encodeFrame(MsgType type, const std::string &payload)
 {

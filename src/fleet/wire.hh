@@ -70,8 +70,6 @@ enum class WireStatus
     Corrupt,   ///< CRC32C mismatch: stream poisoned, reconnect
 };
 
-const char *wireStatusName(WireStatus status);
-
 /** Reject frames claiming more than this (corrupt length prefix). */
 constexpr std::uint32_t kMaxFramePayload = 64u * 1024u * 1024u;
 

@@ -130,10 +130,11 @@ class FeedbackLoop
 };
 
 /**
- * The in-process executor: shards run on one work-stealing pool,
- * started by the first submit, each through one ShardRunner. Pool
- * workers post finished shards to the driving thread; a shard skipped
- * after a stop posts nullopt, so its batch still completes.
+ * The in-process executor: shards run on one FIFO thread pool, in
+ * submission order, started by the first submit, each through one
+ * ShardRunner. Pool workers post finished shards to the driving thread;
+ * a shard skipped after a stop posts nullopt, so its batch still
+ * completes.
  */
 class PoolExecutor final : public ShardExecutor
 {

@@ -7,8 +7,8 @@
  * shards to a ShardExecutor, which hides where they run. There are two
  * executors. The pool executor (runAdaptiveCampaign, and runCampaign
  * and runSupervisedCampaign, which run a fixed shard list as a source
- * that issues each shard as its own batch) runs shards on one
- * work-stealing pool (src/campaign/) that lives for the whole
+ * that issues each shard as its own batch) runs shards on one FIFO
+ * thread pool (src/campaign/) that lives for the whole
  * campaign, each through one ShardRunner (campaign/supervisor.hh) —
  * the shard barrier fleet workers use too. The fleet executor
  * (fleet/coordinator.hh) leases them to worker processes over TCP.

@@ -41,7 +41,6 @@ class Ucb1Bandit
         return _arms.size() - 1;
     }
 
-    std::size_t numArms() const { return _arms.size(); }
     std::uint64_t totalPlays() const { return _totalPlays; }
 
     std::uint64_t plays(std::size_t arm) const
@@ -61,7 +60,7 @@ class Ucb1Bandit
     /**
      * Arm to play next: the lowest-index unplayed arm if any, else the
      * highest UCB score (ties toward the lowest index).
-     * @pre numArms() > 0
+     * @pre at least one addArm() call
      */
     std::size_t select() const;
 

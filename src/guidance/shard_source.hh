@@ -4,7 +4,7 @@
  *
  * runAdaptiveCampaign (adaptive_campaign.hh) closes the
  * coverage-feedback loop: it repeatedly asks a ShardSource for the
- * next batch of shards, runs the shards on one work-stealing campaign
+ * next batch of shards, runs the shards on one FIFO campaign thread
  * pool, merges coverage, and reports each shard's outcome — including
  * how many union cells it covered first — back to the source, which
  * uses the signal (or ignores it) to choose the next batch.

@@ -14,16 +14,6 @@ scopeName(Scope s)
     return "?";
 }
 
-std::optional<Scope>
-parseScope(const std::string &name)
-{
-    for (Scope s : {Scope::None, Scope::Cta, Scope::Gpu}) {
-        if (name == scopeName(s))
-            return s;
-    }
-    return std::nullopt;
-}
-
 const char *
 scopeModeName(ScopeMode m)
 {

@@ -36,9 +36,6 @@ inline constexpr std::uint32_t scopeCount = 3;
 /** Printable scope name ("none" / "cta" / "gpu"). */
 const char *scopeName(Scope s);
 
-/** Parse a scope name; nullopt on unknown names. */
-std::optional<Scope> parseScope(const std::string &name);
-
 /**
  * How the tester assigns scopes to episodes.
  *

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the campaign work-stealing thread pool.
+ * Unit tests for the campaign thread pool: one FIFO queue, so jobs
+ * start in submission order at any thread count.
  */
 
 #include <gtest/gtest.h>
@@ -153,4 +154,95 @@ TEST(ThreadPool, ReusableAcrossWaves)
         pool.waitIdle();
         EXPECT_EQ(count.load(), (wave + 1) * 20);
     }
+}
+
+// A freed worker takes the oldest queued job, not the newest: the
+// campaign loop drains shards in index order and the shrinker prefers
+// low candidates, so the pool must not reorder work while another
+// worker is busy.
+TEST(ThreadPool, JobsStartInSubmissionOrderWhileAWorkerIsBusy)
+{
+    ThreadPool pool(2);
+    std::mutex mutex;
+    std::condition_variable changed;
+    int entered = 0;
+    bool releaseFirst = false;
+    bool releaseSecond = false;
+    std::vector<int> order;
+
+    auto gate = [&](bool &release) {
+        return [&] {
+            std::unique_lock<std::mutex> lock(mutex);
+            ++entered;
+            changed.notify_all();
+            changed.wait(lock, [&] { return release; });
+        };
+    };
+    pool.submit(gate(releaseFirst));
+    pool.submit(gate(releaseSecond));
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        changed.wait(lock, [&] { return entered == 2; });
+    }
+
+    for (int i = 1; i <= 6; ++i) {
+        pool.submit([i, &mutex, &changed, &order] {
+            std::lock_guard<std::mutex> lock(mutex);
+            order.push_back(i);
+            changed.notify_all();
+        });
+    }
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        releaseSecond = true;
+        changed.notify_all();
+        // The timeout is only a hang guard; the order check follows.
+        changed.wait_for(lock, std::chrono::seconds(60),
+                         [&] { return order.size() == 6; });
+        releaseFirst = true;
+        changed.notify_all();
+    }
+    pool.waitIdle();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+}
+
+TEST(ThreadPool, CancelPendingDropsOnlyQueuedJobs)
+{
+    ThreadPool pool(1);
+    std::mutex mutex;
+    std::condition_variable changed;
+    bool started = false;
+    bool release = false;
+    bool finished = false;
+    std::atomic<int> queuedRan{0};
+
+    pool.submit([&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        started = true;
+        changed.notify_all();
+        changed.wait(lock, [&] { return release; });
+        finished = true;
+    });
+    for (int i = 0; i < 5; ++i)
+        pool.submit([&queuedRan] { ++queuedRan; });
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        changed.wait(lock, [&] { return started; });
+    }
+
+    pool.cancelPending();
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        release = true;
+    }
+    changed.notify_all();
+    pool.waitIdle();
+
+    EXPECT_TRUE(finished);
+    EXPECT_EQ(queuedRan.load(), 0);
+
+    // The pool stays usable after a cancel.
+    pool.submit([&queuedRan] { ++queuedRan; });
+    pool.waitIdle();
+    EXPECT_EQ(queuedRan.load(), 1);
 }
