@@ -9,15 +9,10 @@
 #include <thread>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define DRF_JOURNAL_HAVE_FD 1
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
-#else
-#define DRF_JOURNAL_HAVE_FD 0
-#endif
 
 #include "campaign/campaign_json.hh"
 #include "campaign/json_value.hh"
@@ -370,9 +365,7 @@ CampaignJournal::CampaignJournal(const std::string &path,
 {
     if (path.empty())
         return;
-#if DRF_JOURNAL_HAVE_FD
     _fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-#endif
     _status.enabled = _fd >= 0;
     if (_fd < 0) {
         _status.lastErrno = errno;
@@ -393,9 +386,7 @@ CampaignJournal::~CampaignJournal()
     if (_fd < 0)
         return;
     flushLocked(/*sync=*/true);
-#if DRF_JOURNAL_HAVE_FD
     ::close(_fd);
-#endif
     _fd = -1;
 }
 
@@ -492,10 +483,8 @@ CampaignJournal::syncLocked()
     for (;;) {
         int err = _policy.syncFault ? _policy.syncFault() : 0;
         if (err == 0) {
-#if DRF_JOURNAL_HAVE_FD
             if (::fsync(_fd) != 0)
                 err = errno != 0 ? errno : EIO;
-#endif
         }
         if (err == 0)
             return true;

@@ -6,13 +6,8 @@
 #include <csignal>
 #include <mutex>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <poll.h>
 #include <unistd.h>
-#define DRF_HAVE_POSIX_IO 1
-#else
-#define DRF_HAVE_POSIX_IO 0
-#endif
 
 namespace drf::io
 {
@@ -20,7 +15,6 @@ namespace drf::io
 bool
 writeAll(int fd, const void *data, std::size_t len)
 {
-#if DRF_HAVE_POSIX_IO
     const char *p = static_cast<const char *>(data);
     std::size_t off = 0;
     while (off < len) {
@@ -33,12 +27,6 @@ writeAll(int fd, const void *data, std::size_t len)
         off += static_cast<std::size_t>(n);
     }
     return true;
-#else
-    (void)fd;
-    (void)data;
-    (void)len;
-    return false;
-#endif
 }
 
 bool
@@ -50,7 +38,6 @@ writeAll(int fd, const std::string &data)
 bool
 readExact(int fd, void *buf, std::size_t len)
 {
-#if DRF_HAVE_POSIX_IO
     char *p = static_cast<char *>(buf);
     std::size_t off = 0;
     while (off < len) {
@@ -65,12 +52,6 @@ readExact(int fd, void *buf, std::size_t len)
         off += static_cast<std::size_t>(n);
     }
     return true;
-#else
-    (void)fd;
-    (void)buf;
-    (void)len;
-    return false;
-#endif
 }
 
 std::string
@@ -80,7 +61,6 @@ readToEof(int fd, std::chrono::steady_clock::time_point deadline,
     using Clock = std::chrono::steady_clock;
     *timed_out = false;
     std::string data;
-#if DRF_HAVE_POSIX_IO
     char buf[4096];
     for (;;) {
         int wait_ms = -1;
@@ -108,20 +88,14 @@ readToEof(int fd, std::chrono::steady_clock::time_point deadline,
             break;
         data.append(buf, static_cast<std::size_t>(n));
     }
-#else
-    (void)fd;
-    (void)deadline;
-#endif
     return data;
 }
 
 void
 ignoreSigpipe()
 {
-#if DRF_HAVE_POSIX_IO
     static std::once_flag once;
     std::call_once(once, [] { std::signal(SIGPIPE, SIG_IGN); });
-#endif
 }
 
 } // namespace drf::io

@@ -17,15 +17,10 @@
 #include <thread>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define DRF_SUPERVISOR_HAVE_FORK 1
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#else
-#define DRF_SUPERVISOR_HAVE_FORK 0
-#endif
 
 #include "campaign/campaign_json.hh"
 #include "campaign/journal.hh"
@@ -171,8 +166,6 @@ runWithDeadline(const ShardSpec &spec, std::size_t index,
                                       "worker thread abandoned"));
 }
 
-#if DRF_SUPERVISOR_HAVE_FORK
-
 // Serializes the pipe()+fork()+close() window so a concurrently forked
 // child can never inherit another shard's pipe write end (which would
 // keep that shard's parent blocked on read() past its child's death).
@@ -270,18 +263,14 @@ runForked(const ShardSpec &spec, std::size_t index, unsigned attempt,
     return out;
 }
 
-#endif // DRF_SUPERVISOR_HAVE_FORK
-
 /** Dispatch one attempt to the isolation mode @p policy asks for. */
 ShardOutcome
 runAttempt(const ShardPolicy &policy, const ShardSpec &spec,
            std::size_t index, unsigned attempt)
 {
-#if DRF_SUPERVISOR_HAVE_FORK
     if (policy.forkIsolation)
         return runForked(spec, index, attempt,
                          policy.shardTimeoutSeconds);
-#endif
     if (policy.shardTimeoutSeconds > 0.0)
         return runWithDeadline(spec, index, attempt,
                                policy.shardTimeoutSeconds);
@@ -317,9 +306,7 @@ captureRepro(const ShardPolicy &policy, const std::string &repro_dir,
 {
     if (repro_dir.empty() || out.result.passed || !spec.gpuPreset)
         return;
-#if DRF_SUPERVISOR_HAVE_FORK
     ::mkdir(repro_dir.c_str(), 0777); // best effort
-#endif
     std::string base = repro_dir + "/" + sanitizeFileName(out.name);
     bool host = isHostFailureClass(out.result.failureClass);
 
@@ -329,7 +316,6 @@ captureRepro(const ShardPolicy &policy, const std::string &repro_dir,
         return;
     }
 
-#if DRF_SUPERVISOR_HAVE_FORK
     if (policy.forkIsolation) {
         ShardSpec rerecord;
         rerecord.name = out.name;
@@ -342,9 +328,6 @@ captureRepro(const ShardPolicy &policy, const std::string &repro_dir,
                   std::max(5.0, 2.0 * policy.shardTimeoutSeconds));
         return;
     }
-#else
-    (void)policy;
-#endif
 
     // In-process host failure: preserve identity without re-running.
     JsonWriter w;

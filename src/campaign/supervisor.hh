@@ -12,12 +12,11 @@
  *
  *  - Isolation. Every attempt runs under an exception barrier that
  *    turns an uncaught throw into FailureClass::HostCrash and
- *    std::bad_alloc into ResourceExhausted. With forkIsolation (POSIX),
- *    the attempt runs in a forked child that reports its outcome over a
+ *    std::bad_alloc into ResourceExhausted. With forkIsolation, the
+ *    attempt runs in a forked child that reports its outcome over a
  *    pipe using the journal line format — a segfault or sanitizer abort
  *    kills only the child and is triaged as HostCrash with the seed
- *    preserved. On platforms without fork() the flag degrades to the
- *    in-process barrier.
+ *    preserved.
  *
  *  - Reaping. Each attempt enforces its own wall-clock deadline
  *    (shardTimeoutSeconds) on the thread that waits for it: a forked
@@ -108,8 +107,7 @@ unsigned currentShardAttempt();
  */
 struct ShardPolicy
 {
-    /** Run each attempt in a forked child (POSIX; falls back to the
-     *  in-process barrier elsewhere). */
+    /** Run each attempt in a forked child. */
     bool forkIsolation = false;
 
     /** Per-shard wall-clock deadline in seconds; <= 0 disables. */

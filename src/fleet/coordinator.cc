@@ -13,15 +13,10 @@
 #include <utility>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define DRF_FLEET_HAVE_SOCKETS 1
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#else
-#define DRF_FLEET_HAVE_SOCKETS 0
-#endif
 
 #include "campaign/campaign_json.hh"
 #include "campaign/journal.hh"
@@ -173,7 +168,6 @@ struct FleetCoordinator::Impl final : ShardExecutor
     bool
     bindAndListen()
     {
-#if DRF_FLEET_HAVE_SOCKETS
         listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
         if (listenFd < 0)
             return false;
@@ -200,15 +194,11 @@ struct FleetCoordinator::Impl final : ShardExecutor
                           &len) == 0)
             portBound = ntohs(bound.sin_port);
         return true;
-#else
-        return false;
-#endif
     }
 
     void
     acceptLoop()
     {
-#if DRF_FLEET_HAVE_SOCKETS
         while (!shutdown.load(std::memory_order_acquire)) {
             int fd = ::accept(listenFd, nullptr, nullptr);
             if (fd < 0) {
@@ -251,7 +241,6 @@ struct FleetCoordinator::Impl final : ShardExecutor
                 std::thread([this, worker] { readerLoop(worker); });
             cv.notify_all();
         }
-#endif
     }
 
     void
@@ -421,9 +410,7 @@ struct FleetCoordinator::Impl final : ShardExecutor
         if (!worker.alive)
             return;
         worker.alive = false;
-#if DRF_FLEET_HAVE_SOCKETS
         ::shutdown(worker.fd, SHUT_RDWR);
-#endif
         releaseHeldLocked(worker);
     }
 
@@ -766,10 +753,8 @@ struct FleetCoordinator::Impl final : ShardExecutor
     stopFleet()
     {
         shutdown.store(true, std::memory_order_release);
-#if DRF_FLEET_HAVE_SOCKETS
         if (listenFd >= 0)
             ::shutdown(listenFd, SHUT_RDWR);
-#endif
         if (acceptThread.joinable())
             acceptThread.join();
 
@@ -780,27 +765,21 @@ struct FleetCoordinator::Impl final : ShardExecutor
             for (auto &worker : snapshot) {
                 if (worker->alive)
                     sendFrame(worker->fd, MsgType::Shutdown, "");
-#if DRF_FLEET_HAVE_SOCKETS
                 ::shutdown(worker->fd, SHUT_RD);
-#endif
             }
         }
         for (auto &worker : snapshot) {
             if (worker->reader.joinable())
                 worker->reader.join();
-#if DRF_FLEET_HAVE_SOCKETS
             if (worker->fd >= 0) {
                 ::close(worker->fd);
                 worker->fd = -1;
             }
-#endif
         }
-#if DRF_FLEET_HAVE_SOCKETS
         if (listenFd >= 0) {
             ::close(listenFd);
             listenFd = -1;
         }
-#endif
     }
 };
 

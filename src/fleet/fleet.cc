@@ -5,13 +5,8 @@
 #include <string>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define DRF_FLEET_CAN_FORK 1
 #include <sys/wait.h>
 #include <unistd.h>
-#else
-#define DRF_FLEET_CAN_FORK 0
-#endif
 
 #include "fleet/worker.hh"
 
@@ -23,20 +18,13 @@ runLocalFleet(ShardSource &source, const LocalFleetConfig &cfg,
               bool *listen_ok)
 {
     CoordinatorConfig coord_cfg = cfg.coordinator;
-#if !DRF_FLEET_CAN_FORK
-    // No fork(): degrade to the degenerate fleet, which needs neither
-    // sockets nor processes and produces the same aggregates.
-    coord_cfg.expectedWorkers = 0;
-#else
     coord_cfg.expectedWorkers = cfg.workers;
-#endif
 
     FleetCoordinator coordinator(source, coord_cfg);
     bool bound = coordinator.listen();
     if (listen_ok)
         *listen_ok = bound;
 
-#if DRF_FLEET_CAN_FORK
     std::vector<pid_t> children;
     if (bound && coord_cfg.expectedWorkers > 0) {
         unsigned short port = coordinator.boundPort();
@@ -65,11 +53,9 @@ runLocalFleet(ShardSource &source, const LocalFleetConfig &cfg,
             children.push_back(pid);
         }
     }
-#endif
 
     FleetResult result = coordinator.run();
 
-#if DRF_FLEET_CAN_FORK
     // The campaign is over and every result is in. A worker whose
     // stream was poisoned mid-campaign may still be walking its
     // reconnect backoff against the now-closed port — don't wait out
@@ -80,7 +66,6 @@ runLocalFleet(ShardSource &source, const LocalFleetConfig &cfg,
         int status = 0;
         (void)::waitpid(pid, &status, 0);
     }
-#endif
     return result;
 }
 

@@ -212,11 +212,17 @@ parseLease(const std::string &payload, ShardLease &out)
         expect(*genome, "coloc_density", JsonValue::Type::Number);
     const JsonValue *num_cus =
         expect(*genome, "num_cus", JsonValue::Type::Number);
+    const JsonValue *protocol =
+        expect(*genome, "protocol", JsonValue::Type::String);
+    const JsonValue *scope_mode =
+        expect(*genome, "scope_mode", JsonValue::Type::String);
     if (!cache_class || !actions || !episodes || !atomic_locs ||
-        !density || !num_cus)
+        !density || !num_cus || !protocol || !scope_mode)
         return false;
     auto parsed_class = parseCacheSizeClass(cache_class->string);
-    if (!parsed_class)
+    auto parsed_protocol = parseProtocolKind(protocol->string);
+    auto parsed_scope = parseScopeMode(scope_mode->string);
+    if (!parsed_class || !parsed_protocol || !parsed_scope)
         return false;
 
     const JsonValue *lanes =
@@ -248,22 +254,8 @@ parseLease(const std::string &payload, ShardLease &out)
         static_cast<unsigned>(atomic_locs->asU64());
     lease.genome.colocDensity = density->asDouble();
     lease.genome.numCus = static_cast<unsigned>(num_cus->asU64());
-    // Protocol/scope keys arrived after the first wire revision; absent
-    // keys mean the defaults, so old coordinators keep working.
-    if (const JsonValue *protocol =
-            expect(*genome, "protocol", JsonValue::Type::String)) {
-        auto parsed = parseProtocolKind(protocol->string);
-        if (!parsed)
-            return false;
-        lease.genome.protocol = *parsed;
-    }
-    if (const JsonValue *scope_mode =
-            expect(*genome, "scope_mode", JsonValue::Type::String)) {
-        auto parsed = parseScopeMode(scope_mode->string);
-        if (!parsed)
-            return false;
-        lease.genome.scopeMode = *parsed;
-    }
+    lease.genome.protocol = *parsed_protocol;
+    lease.genome.scopeMode = *parsed_scope;
     lease.scale.lanes = static_cast<unsigned>(lanes->asU64());
     lease.scale.wfsPerCu = static_cast<unsigned>(wfs->asU64());
     lease.scale.numNormalVars =

@@ -10,15 +10,10 @@
 #include <mutex>
 #include <thread>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define DRF_FLEET_HAVE_SOCKETS 1
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#else
-#define DRF_FLEET_HAVE_SOCKETS 0
-#endif
 
 #include "campaign/journal.hh"
 #include "campaign/posix_io.hh"
@@ -30,10 +25,11 @@
 namespace drf::fleet
 {
 
-#if DRF_FLEET_HAVE_SOCKETS
-
 namespace
 {
+
+/** Backoff before reconnect attempt N is N * this. */
+constexpr std::uint64_t kReconnectBackoffMs = 100;
 
 int
 connectTo(const std::string &host, unsigned short port)
@@ -344,22 +340,9 @@ runWorker(const WorkerConfig &cfg)
                           cfg.maxReconnects);
             return 3;
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            static_cast<std::uint64_t>(cfg.reconnectBackoffMs) *
-            attempts));
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(kReconnectBackoffMs * attempts));
     }
 }
-
-#else // !DRF_FLEET_HAVE_SOCKETS
-
-int
-runWorker(const WorkerConfig &)
-{
-    std::fprintf(stderr,
-                  "fleet worker: sockets unavailable on this platform\n");
-    return 2;
-}
-
-#endif
 
 } // namespace drf::fleet

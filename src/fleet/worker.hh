@@ -91,8 +91,6 @@ struct WorkerConfig
 
     /** Reconnect attempts after a lost session before giving up. */
     unsigned maxReconnects = 5;
-    /** Backoff before reconnect attempt N is N * this. */
-    unsigned reconnectBackoffMs = 100;
 };
 
 /**

@@ -52,9 +52,6 @@ enum class TraceEventKind : std::uint8_t
 /** Number of TraceEventKind values (for load-time validation). */
 constexpr std::uint8_t traceEventKindCount = 7;
 
-/** Printable kind name. */
-const char *traceEventKindName(TraceEventKind kind);
-
 /**
  * One fixed-size trace record. The payload fields are overloaded per
  * kind (see TraceEventKind); everything is POD so recording is an

@@ -19,7 +19,7 @@ recordGpuRun(const ApuSystemConfig &sys_cfg,
     trace.tester.replay = nullptr;
 
     ApuSystem sys(sys_cfg);
-    TraceRecorder events(opts.maxEvents);
+    TraceRecorder events;
     if (opts.captureEvents)
         sys.attachTrace(events);
 

@@ -51,8 +51,6 @@ struct RecordOptions
 {
     /** Also capture the binary event trace (messages, transitions). */
     bool captureEvents = false;
-    /** Event cap when capturing (see TraceRecorder). */
-    std::size_t maxEvents = TraceRecorder::defaultMaxEvents;
 };
 
 /**

@@ -22,14 +22,13 @@ namespace
  */
 bool
 candidateFails(const ReproTrace &trace, const EpisodeSchedule &candidate,
-               const ShrinkOptions &opts, std::size_t &replays)
+               std::size_t &replays)
 {
     ++replays;
     TesterResult r = replayGpuRun(trace, candidate, /*arm_fault=*/true);
     if (r.passed || r.failureClass != trace.result.failureClass)
         return false;
-    if (opts.verifyFaultDependence &&
-        trace.system.fault != FaultKind::None) {
+    if (trace.system.fault != FaultKind::None) {
         ++replays;
         TesterResult clean =
             replayGpuRun(trace, candidate, /*arm_fault=*/false);
@@ -88,8 +87,7 @@ class Prober
                 bool decides = true; // fails, or throws
                 try {
                     decides = candidateFails(
-                        _trace, _trace.schedule.subset(make(i)), _opts,
-                        ran);
+                        _trace, _trace.schedule.subset(make(i)), ran);
                     fails[i] = decides ? 1 : 0;
                 } catch (...) {
                     errors[i] = std::current_exception();

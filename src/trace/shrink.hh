@@ -13,9 +13,9 @@
  * original run and fail with a *genuine* data race rather than the
  * injected/observed bug. A candidate is therefore accepted only if it
  * (a) fails with the original failure class with the recorded fault
- * armed, and (b) — when a fault is armed and verification is on —
- * passes with the fault disarmed, proving the failure is caused by the
- * bug under investigation and not by an artifact of the shrink itself.
+ * armed, and (b) — when a fault is armed — passes with the fault
+ * disarmed, proving the failure is caused by the bug under
+ * investigation and not by an artifact of the shrink itself.
  *
  * The candidates of one ddmin step are replayed concurrently on a pool
  * of ThreadPool::defaultThreads() threads, then accounted in serial
@@ -39,12 +39,6 @@ struct ShrinkOptions
 {
     /** Hard cap on probes (see ShrinkStats::probes). */
     std::size_t maxProbes = 2000;
-
-    /**
-     * Require candidates to pass with the fault disarmed (ignored when
-     * the trace's system has no fault armed).
-     */
-    bool verifyFaultDependence = true;
 
     /** Progress callback (probe count, current best size); optional. */
     std::function<void(std::size_t, std::size_t)> progress;

@@ -10,21 +10,6 @@
 namespace drf
 {
 
-const char *
-traceEventKindName(TraceEventKind kind)
-{
-    switch (kind) {
-      case TraceEventKind::EpisodeIssue: return "EpisodeIssue";
-      case TraceEventKind::EpisodeRetire: return "EpisodeRetire";
-      case TraceEventKind::MsgSend: return "MsgSend";
-      case TraceEventKind::MsgDeliver: return "MsgDeliver";
-      case TraceEventKind::Transition: return "Transition";
-      case TraceEventKind::SyncAcquire: return "SyncAcquire";
-      case TraceEventKind::SyncRelease: return "SyncRelease";
-    }
-    return "?";
-}
-
 namespace
 {
 
@@ -506,19 +491,6 @@ loadTraceFileStatus(const std::string &path, ReproTrace &trace,
     if (!is)
         return TraceLoadStatus::Unreadable;
     return loadTraceStatus(is, trace, found_version);
-}
-
-bool
-loadTrace(std::istream &is, ReproTrace &trace)
-{
-    return loadTraceStatus(is, trace) == TraceLoadStatus::Ok;
-}
-
-bool
-loadTraceFile(const std::string &path, ReproTrace &trace)
-{
-    std::ifstream is(path, std::ios::binary);
-    return is && loadTrace(is, trace);
 }
 
 } // namespace drf

@@ -73,15 +73,6 @@ TraceLoadStatus loadTraceFileStatus(const std::string &path,
                                     ReproTrace &trace,
                                     std::uint32_t *found_version = nullptr);
 
-/**
- * Deserialize a trace from @p is into @p trace.
- * @return false on bad magic, unknown version or truncation.
- */
-bool loadTrace(std::istream &is, ReproTrace &trace);
-
-/** Deserialize a trace from @p path. @return false on any failure. */
-bool loadTraceFile(const std::string &path, ReproTrace &trace);
-
 } // namespace drf
 
 #endif // DRF_TRACE_TRACE_FILE_HH

@@ -16,13 +16,8 @@
 #include <string>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <sys/socket.h>
 #include <unistd.h>
-#define DRF_TEST_HAVE_SOCKETPAIR 1
-#else
-#define DRF_TEST_HAVE_SOCKETPAIR 0
-#endif
 
 #include "campaign/journal.hh"
 #include "chaos/chaos.hh"
@@ -228,8 +223,6 @@ TEST(DiskChaos, FsyncFaultIsDeterministic)
 // Wire v2: CRC detection over a real socket.
 // ---------------------------------------------------------------------
 
-#if DRF_TEST_HAVE_SOCKETPAIR
-
 TEST(WireV2, FlippedPayloadByteIsDetectedAsCorrupt)
 {
     int fds[2];
@@ -296,8 +289,6 @@ TEST(WireV2, CleanFramesStillRoundTrip)
     ::close(fds[0]);
     ::close(fds[1]);
 }
-
-#endif // DRF_TEST_HAVE_SOCKETPAIR
 
 // ---------------------------------------------------------------------
 // Journal integrity envelope + failure ladder.
@@ -476,8 +467,6 @@ TEST(JournalFaults, FsyncFailureIsCountedAndSurvivable)
 // End to end: chaos in, clean aggregates out.
 // ---------------------------------------------------------------------
 
-#if DRF_TEST_HAVE_SOCKETPAIR
-
 namespace
 {
 
@@ -643,5 +632,3 @@ TEST(ChaosFleet, DiskChaosDegradesJournalButNotTheCampaign)
         << "resume over a damaged journal must self-heal";
     std::remove(journal.c_str());
 }
-
-#endif // DRF_TEST_HAVE_SOCKETPAIR

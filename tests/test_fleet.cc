@@ -30,15 +30,10 @@
 #include <thread>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#define DRF_TEST_HAVE_SOCKETPAIR 1
-#else
-#define DRF_TEST_HAVE_SOCKETPAIR 0
-#endif
 
 #include "campaign/journal.hh"
 #include "campaign/campaign.hh"
@@ -154,8 +149,6 @@ expectEquivalent(const CampaignResult &a, const CampaignResult &b)
 // Wire framing.
 // ---------------------------------------------------------------------
 
-#if DRF_TEST_HAVE_SOCKETPAIR
-
 TEST(FleetWire, FrameRoundTrip)
 {
     int fds[2];
@@ -213,8 +206,6 @@ TEST(FleetWire, TornHeaderFailsCleanly)
     EXPECT_FALSE(recvFrame(fds[1], f));
     ::close(fds[1]);
 }
-
-#endif // DRF_TEST_HAVE_SOCKETPAIR
 
 // ---------------------------------------------------------------------
 // Protocol payloads.
@@ -318,15 +309,29 @@ TEST(FleetProtocol, ParseRejectsMalformedPayloads)
     EXPECT_FALSE(parseWelcome("{\"v\":1}", welcome));
     ShardLease lease;
     EXPECT_FALSE(parseLease("{}", lease));
-    EXPECT_FALSE(parseLease(
-        "{\"v\":1,\"index\":0,\"name\":\"x\",\"seed\":1,"
-        "\"genome\":{\"cache_class\":\"bogus\",\"actions_per_episode\":1,"
-        "\"episodes_per_wf\":1,\"atomic_locs\":1,\"coloc_density\":1,"
-        "\"num_cus\":1},\"scale\":{\"lanes\":1,\"wfs_per_cu\":1,"
-        "\"num_normal_vars\":1,\"fault\":\"none\","
-        "\"fault_trigger_pct\":100}}",
-        lease))
+
+    // A well-formed lease, then copies of it that each break one key.
+    const std::string wire = serializeLease(ShardLease{});
+    ASSERT_TRUE(parseLease(wire, lease));
+    const std::string class_key = "\"cache_class\":\"";
+    std::string bogus_class = wire;
+    std::size_t value = bogus_class.find(class_key) + class_key.size();
+    bogus_class.replace(value, bogus_class.find('"', value) - value,
+                        "bogus");
+    EXPECT_FALSE(parseLease(bogus_class, lease))
         << "unknown cache class must be rejected, not defaulted";
+    auto without = [&wire](const std::string &key) {
+        std::string broken = wire;
+        std::size_t at = broken.find(",\"" + key + "\":");
+        EXPECT_NE(at, std::string::npos) << key;
+        if (at != std::string::npos)
+            broken.erase(at, broken.find_first_of(",}", at + 1) - at);
+        return broken;
+    };
+    EXPECT_FALSE(parseLease(without("protocol"), lease))
+        << "a lease without a protocol must be rejected, not defaulted";
+    EXPECT_FALSE(parseLease(without("scope_mode"), lease))
+        << "a lease without a scope mode must be rejected, not defaulted";
 }
 
 // ---------------------------------------------------------------------
@@ -462,8 +467,6 @@ TEST(StreamingMerge, SealedAndBareRecordsCoexistOnResume)
 // ---------------------------------------------------------------------
 // End to end: distributed == local, byte for byte.
 // ---------------------------------------------------------------------
-
-#if DRF_TEST_HAVE_SOCKETPAIR
 
 namespace
 {
@@ -1208,5 +1211,3 @@ TEST(CrossExecutor, GuidedAggregatesAreByteIdenticalOnEveryExecutor)
     for (const auto &[executor, aggregates] : runs)
         EXPECT_EQ(runs[0].second, aggregates) << executor;
 }
-
-#endif // DRF_TEST_HAVE_SOCKETPAIR

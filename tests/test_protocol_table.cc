@@ -290,7 +290,7 @@ TEST(TraceRoundTrip, ProtocolAndScopeSurviveSaveLoad)
     std::stringstream ss;
     ASSERT_TRUE(saveTrace(ss, trace));
     ReproTrace loaded;
-    ASSERT_TRUE(loadTrace(ss, loaded));
+    ASSERT_EQ(TraceLoadStatus::Ok, loadTraceStatus(ss, loaded));
 
     EXPECT_EQ(loaded.system.l1.protocol, ProtocolKind::Lrcc);
     EXPECT_EQ(loaded.tester.scopeMode, ScopeMode::Scoped);

@@ -580,7 +580,8 @@ TEST(Supervisor, ProtocolFailureGetsReproTraceRecorded)
         isHostFailureClass(res.firstFailure->failureClass));
 
     ReproTrace trace;
-    ASSERT_TRUE(loadTraceFile(dir + "/faulty_seed11.trace", trace));
+    ASSERT_EQ(TraceLoadStatus::Ok,
+              loadTraceFileStatus(dir + "/faulty_seed11.trace", trace));
     EXPECT_FALSE(trace.result.passed);
     EXPECT_EQ(trace.result.failureClass,
               res.firstFailure->failureClass);
@@ -618,11 +619,9 @@ TEST(Supervisor, InProcessHostFailureGetsStubNotRerun)
 }
 
 // ---------------------------------------------------------------------
-// Fork isolation (POSIX). Kept out of the Supervisor suite: sanitizer
+// Fork isolation. Kept out of the Supervisor suite: sanitizer
 // CI filters run these separately (fork + TSan don't mix).
 // ---------------------------------------------------------------------
-
-#if defined(__unix__) || defined(__APPLE__)
 
 TEST(ForkIsolation, CrashingShardBecomesHostCrash)
 {
@@ -738,9 +737,8 @@ TEST(ForkIsolation, HostFailureGetsReproTraceRecorded)
     EXPECT_EQ(res.hostCrashes, 1u);
 
     ReproTrace trace;
-    ASSERT_TRUE(loadTraceFile(path, trace)) << path;
+    ASSERT_EQ(TraceLoadStatus::Ok, loadTraceFileStatus(path, trace))
+        << path;
     EXPECT_EQ(trace.tester.seed, 21u);
     std::remove(path.c_str());
 }
-
-#endif // defined(__unix__) || defined(__APPLE__)

@@ -180,7 +180,7 @@ TEST(Trace, TraceFileRoundTrip)
     ASSERT_TRUE(saveTrace(buf, run.trace));
 
     ReproTrace loaded;
-    ASSERT_TRUE(loadTrace(buf, loaded));
+    ASSERT_EQ(TraceLoadStatus::Ok, loadTraceStatus(buf, loaded));
 
     EXPECT_EQ(loaded.presetName, run.trace.presetName);
     EXPECT_EQ(loaded.system.fault, run.trace.system.fault);
@@ -211,7 +211,7 @@ TEST(Trace, LoadRejectsGarbage)
 {
     std::stringstream buf("not a trace file at all");
     ReproTrace loaded;
-    EXPECT_FALSE(loadTrace(buf, loaded));
+    EXPECT_NE(TraceLoadStatus::Ok, loadTraceStatus(buf, loaded));
 }
 
 // The ddmin shrinker: the minimized schedule still fails with the same
@@ -378,10 +378,6 @@ TEST(Trace, FutureVersionRejectedDistinctly)
     EXPECT_EQ(found, future);
     EXPECT_STREQ(traceLoadStatusName(TraceLoadStatus::FutureVersion),
                  "FutureVersion");
-
-    // The legacy bool API must still fail (it just can't say why).
-    std::stringstream again(bytes);
-    EXPECT_FALSE(loadTrace(again, loaded));
 }
 
 // The status API separates "not a trace" from "truncated trace".

@@ -439,9 +439,13 @@ struct FuzzOutcome
     FailureClass failureClass = FailureClass::None;
 };
 
-/** Shrink a failing fuzz trace and write the per-fault artifacts. */
+/**
+ * Shrink a failing fuzz trace and write its artifacts to
+ * @p base .trace, .min.trace and .repro.json.
+ */
 void
-shrinkAndSave(const Args &a, ReproTrace &trace, FuzzOutcome &out)
+shrinkAndSave(const Args &a, const std::string &base, ReproTrace &trace,
+              FuzzOutcome &out)
 {
     out.detected = true;
     out.failureClass = trace.result.failureClass;
@@ -456,7 +460,6 @@ shrinkAndSave(const Args &a, ReproTrace &trace, FuzzOutcome &out)
                  replayed.failureClass == trace.result.failureClass;
     out.shrunkEpisodes = shrunk.size();
 
-    std::string base = a.outDir + "/" + faultKindName(out.fault);
     ReproTrace minimized = trace;
     minimized.schedule = shrunk;
     minimized.result = replayed;
@@ -500,6 +503,8 @@ cmdFuzz(const Args &a)
     for (const Entry &entry : entries) {
         FuzzOutcome out;
         out.fault = entry.fault;
+        const std::string artifacts =
+            a.outDir + "/" + faultKindName(entry.fault);
 
         if (*strategy == Strategy::Guided) {
             // Coverage-guided seed search: the scheduler explores a
@@ -541,7 +546,7 @@ cmdFuzz(const Args &a)
                 ReproTrace trace = recordGpuRun(*res.failurePreset);
                 trace.guidance = guidanceDecisionsJson(res.decisions);
                 if (!trace.result.passed)
-                    shrinkAndSave(a, trace, out);
+                    shrinkAndSave(a, artifacts, trace, out);
             }
         } else {
             for (std::uint64_t seed = 1;
@@ -559,7 +564,7 @@ cmdFuzz(const Args &a)
                 trace.presetName =
                     std::string(faultKindName(entry.fault)) + "/seed" +
                     std::to_string(seed);
-                shrinkAndSave(a, trace, out);
+                shrinkAndSave(a, artifacts, trace, out);
             }
         }
         outcomes.push_back(out);
@@ -675,32 +680,11 @@ cmdScoped(const Args &a)
         racy.seed = seed;
         trace.presetName = std::string(protocolKindName(protocol)) +
                            "-racy/seed" + std::to_string(seed);
-        racy.detected = true;
-        racy.failureClass = trace.result.failureClass;
-        racy.originalEpisodes = trace.schedule.size();
-
-        ShrinkOptions opts;
-        opts.maxProbes = a.maxProbes;
-        ShrinkStats stats;
-        EpisodeSchedule shrunk = shrinkRepro(trace, opts, &stats);
-        TesterResult replayed = replayGpuRun(trace, shrunk);
-        racy.shrunk = !replayed.passed &&
-                      replayed.failureClass ==
-                          trace.result.failureClass;
-        racy.shrunkEpisodes = shrunk.size();
-
-        std::string base = a.outDir + "/" +
-                           std::string(protocolKindName(protocol)) +
-                           "-racy";
-        ReproTrace minimized = trace;
-        minimized.schedule = shrunk;
-        minimized.result = replayed;
-        if (saveTraceFile(base + ".trace", trace))
-            std::printf("wrote %s.trace\n", base.c_str());
-        if (saveTraceFile(base + ".min.trace", minimized))
-            std::printf("wrote %s.min.trace\n", base.c_str());
-        writeText(base + ".repro.json",
-                  reproToJson(trace, shrunk, replayed));
+        shrinkAndSave(a,
+                      a.outDir + "/" +
+                          std::string(protocolKindName(protocol)) +
+                          "-racy",
+                      trace, racy);
     }
 
     std::printf("\nscoped arm (%s):\n", protocolKindName(protocol));
