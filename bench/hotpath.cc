@@ -9,9 +9,9 @@
  *
  *  - episode_generation: EpisodeGenerator::generateInto + retire over a
  *    reused Episode (the CSR planes), counting generated lane ops;
- *  - controller_dispatch: EventQueue schedule+dispatch with the
- *    campaign's latency mix (same-tick FIFO, timing-wheel near-future
- *    port hops, occasional beyond-horizon heap entries);
+ *  - controller_dispatch: EventQueue schedule+dispatch over a fixed
+ *    latency mix (same-tick continuations and near-future port hops in
+ *    the timing wheel, occasional beyond-horizon heap entries);
  *  - ref_check: RefMemory applyWrite / value / noteRead, the
  *    load-checking planes the tester hits once per retired access.
  *
@@ -94,10 +94,12 @@ benchControllerDispatch(std::uint64_t target_ops)
     EventQueue eq;
     std::uint64_t sink = 0;
 
-    // Latency mix modelled on the campaign profile: most events are
-    // small fixed port/recycle/memory latencies (timing wheel), a few
-    // are same-tick continuations (FIFO), and watchdog-style checks sit
-    // beyond the wheel horizon (heap).
+    // Latency mix: most events are small fixed port/recycle/memory
+    // latencies and 1 in 8 is a same-tick continuation (all in the
+    // timing wheel; the same-tick ones join the current tick's bucket),
+    // and watchdog-style checks sit beyond the wheel horizon (heap).
+    // Tester campaigns schedule nothing at delay 0 (only application
+    // runs do), so the same-tick share is heavier than theirs.
     auto round = [&eq, &sink]() {
         for (int i = 0; i < 990; ++i) {
             Tick delay;

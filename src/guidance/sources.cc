@@ -6,6 +6,20 @@
 namespace drf
 {
 
+namespace
+{
+
+/** Episodes/WF cap applied to an arm's first (probe) play. */
+constexpr unsigned kProbeEpisodesPerWf = 10;
+/** UCB1 exploration constant (scaled by the max observed reward). */
+constexpr double kExploration = 0.5;
+/** Chance per round of adding a mutant of the best genome. */
+constexpr unsigned kMutationPct = 25;
+/** Cap on mutant arms added over the campaign. */
+constexpr std::size_t kMaxMutants = 16;
+
+} // namespace
+
 const char *
 strategyName(Strategy s)
 {
@@ -106,7 +120,7 @@ GuidedSource::GuidedSource(const SourceConfig &cfg,
                            const GuidedOptions &opts)
     : ArmSourceBase(cfg), _opts(opts), _rng(cfg.masterSeed ^
                                             0x9e3779b97f4a7c15ull),
-      _bandit(opts.exploration)
+      _bandit(kExploration)
 {
     for (const ConfigGenome &genome : _cfg.arms) {
         _arms.push_back({genome, false});
@@ -153,10 +167,9 @@ GuidedSource::maybeBreedMutant()
     // Only once every preset arm has been scored: mutating before the
     // probe sweep finished would just dilute exploration.
     if (_bandit.totalPlays() < _numPresetArms ||
-        _mutants >= _opts.maxMutants || !_rng.pct(_opts.mutationPct))
+        _mutants >= kMaxMutants || !_rng.pct(kMutationPct))
         return;
-    ConfigGenome bred =
-        mutateGenome(_arms[bestArm()].genome, _rng, _opts.bounds);
+    ConfigGenome bred = mutateGenome(_arms[bestArm()].genome, _rng);
     // Skip exact duplicates of an existing arm.
     for (const Arm &arm : _arms) {
         if (arm.genome == bred)
@@ -182,7 +195,7 @@ GuidedSource::nextBatch()
     ConfigGenome genome = _arms[arm].genome;
     if (probe) {
         genome.episodesPerWf = std::min(genome.episodesPerWf,
-                                        _opts.probeEpisodesPerWf);
+                                        kProbeEpisodesPerWf);
     }
 
     GuidanceDecision decision;

@@ -105,16 +105,6 @@ class RandomSource : public ArmSourceBase
 /** Guided-mode policy knobs. */
 struct GuidedOptions
 {
-    /** Episodes/WF cap applied to an arm's first (probe) play. */
-    unsigned probeEpisodesPerWf = 10;
-    /** UCB1 exploration constant (scaled by the max observed reward). */
-    double exploration = 0.5;
-    /** Chance per round of adding a mutant of the best genome. */
-    unsigned mutationPct = 25;
-    /** Cap on mutant arms added over the campaign. */
-    std::size_t maxMutants = 16;
-    GenomeBounds bounds;
-
     // Stop conditions (0 = disabled), checked between rounds:
     std::size_t targetL1Active = 0; ///< stop at this union L1 active
     std::size_t targetL2Active = 0; ///< ... and this union L2 active

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "sim/logger.hh"
 
 namespace drf
 {

@@ -119,8 +119,7 @@ ExploreSource::ExploreSource(const GpuTestPreset &preset,
     : _preset(preset), _opts(opts), _base(recordBase(preset)),
       _deps(_base.schedule)
 {
-    if (_opts.runPredict)
-        _predict = predictRaces(_base, _opts.predict);
+    _predict = predictRaces(_base, _opts.predict);
     expandFrontier(_base.events, SchedulePerturbation{});
 }
 

@@ -67,8 +67,6 @@ struct ExploreOptions
     std::size_t maxFlipsPerTrace = 8;
     /** Predictive pass run on the base trace (triage block). */
     PredictOptions predict;
-    /** Skip the predictive pass (bench / frontier-only runs). */
-    bool runPredict = true;
 };
 
 /**

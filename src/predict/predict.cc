@@ -240,14 +240,12 @@ predictRaces(const ReproTrace &trace, const PredictOptions &opts)
                       return l.first.scheduleIndex < r.first.scheduleIndex;
                   return l.second.scheduleIndex < r.second.scheduleIndex;
               });
-    if (found.size() > opts.maxCandidates)
-        found.resize(opts.maxCandidates);
+    if (found.size() > kMaxPredictCandidates)
+        found.resize(kMaxPredictCandidates);
     report.races = std::move(found);
 
-    if (opts.verify) {
-        for (PredictedRace &race : report.races)
-            report.replays += verifyRace(trace, race, opts);
-    }
+    for (PredictedRace &race : report.races)
+        report.replays += verifyRace(trace, race, opts);
     return report;
 }
 

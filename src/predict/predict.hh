@@ -68,13 +68,12 @@ struct PredictedRace
     std::string witnessReport;
 };
 
+/** Cap on candidates carried into a report (each one is verified). */
+inline constexpr std::size_t kMaxPredictCandidates = 64;
+
 /** Tuning knobs for predictRaces. */
 struct PredictOptions
 {
-    /** Re-execute witnesses to confirm/demote (else report raw). */
-    bool verify = true;
-    /** Cap on candidates carried into the report (and verified). */
-    std::size_t maxCandidates = 64;
     /** Delay-ladder depth per candidate during verification. */
     unsigned maxProbes = 8;
 };
@@ -89,7 +88,7 @@ struct PredictReport
     std::size_t pairsChecked = 0;   ///< conflicting pairs tested for order
     std::size_t candidates = 0;     ///< HB-unordered pairs found (pre-cap)
     std::size_t replays = 0;        ///< witness replays executed
-    std::vector<PredictedRace> races; ///< up to maxCandidates, verified
+    std::vector<PredictedRace> races; ///< verified; kMaxPredictCandidates cap
 
     std::size_t confirmedCount() const;
     std::size_t demotedCount() const;

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "proto/protocol_error.hh"
-#include "sim/logger.hh"
 
 namespace drf
 {
@@ -11,35 +10,7 @@ namespace drf
 const TransitionSpec &
 CpuCache::spec()
 {
-    static TransitionSpec s = [] {
-        TransitionSpec spec(
-            "CPU-CorePair", {"I", "S", "M", "IS", "IM", "SM", "MI"},
-            {"Load", "Store", "Repl", "Data", "PrbInv", "PrbDowngrade",
-             "WBAck"});
-        // Core requests: hits, misses, upgrade, and stalls on transients.
-        for (auto st : {StI, StS, StM, StIS, StIM, StSM, StMI}) {
-            spec.define(EvLoad, st);
-            spec.define(EvStore, st);
-        }
-        // Replacement victimizes stable lines only.
-        spec.define(EvRepl, StS);
-        spec.define(EvRepl, StM);
-        // Grants land in the requesting transients.
-        spec.define(EvData, StIS);
-        spec.define(EvData, StIM);
-        spec.define(EvData, StSM);
-        // Probes: stale-sharer probes can find the line in I/IS/IM; a
-        // downgrade targets the precise owner (M, or MI when it crosses a
-        // writeback).
-        for (auto st : {StI, StS, StM, StIS, StIM, StSM, StMI})
-            spec.define(EvPrbInv, st);
-        spec.define(EvPrbDowngrade, StM);
-        spec.define(EvPrbDowngrade, StMI);
-        // Writeback completion (possibly a stale ack after a probe).
-        spec.define(EvWBAck, StMI);
-        return spec;
-    }();
-    return s;
+    return table().spec();
 }
 
 const TransitionTable<CpuCache> &
@@ -48,7 +19,9 @@ CpuCache::table()
     using T = TransitionTable<CpuCache>;
     using CC = CpuCache;
     static const T t = [] {
-        T t(spec());
+        T t("CPU-CorePair", {"I", "S", "M", "IS", "IM", "SM", "MI"},
+            {"Load", "Store", "Repl", "Data", "PrbInv", "PrbDowngrade",
+             "WBAck"});
         t.on(EvLoad, StI, {&CC::actLoadMiss}, StIS)
             .on(EvLoad, StS, {&CC::actLoadHit}, StS)
             .on(EvLoad, StM, {&CC::actLoadHit}, StM)
@@ -63,11 +36,16 @@ CpuCache::table()
             .on(EvStore, StIM, {&CC::actRecycle}, StIM)
             .on(EvStore, StSM, {&CC::actRecycle}, StSM)
             .on(EvStore, StMI, {&CC::actRecycle}, StMI)
+            // Replacement victimizes stable lines only.
             .on(EvRepl, StS, {&CC::actReplaceClean}, StI)
             .on(EvRepl, StM, {&CC::actReplaceDirty}, StMI)
+            // Grants land in the requesting transients.
             .on(EvData, StIS, {&CC::actDataFillAlloc}, StS)
             .on(EvData, StIM, {&CC::actDataFillAlloc}, StM)
             .on(EvData, StSM, {&CC::actDataFillUpgrade}, StM)
+            // Probes: stale-sharer probes can find the line in I/IS/IM;
+            // a downgrade targets the precise owner (M, or MI when it
+            // crosses a writeback).
             .on(EvPrbInv, StI, {&CC::actProbeSend}, StI)
             .on(EvPrbInv, StS,
                 {&CC::actProbeSharer, &CC::actProbeSend}, StI)
@@ -83,8 +61,8 @@ CpuCache::table()
                 {&CC::actProbeOwner, &CC::actProbeSend}, StS)
             .on(EvPrbDowngrade, StMI,
                 {&CC::actProbeWriteback, &CC::actProbeSend}, StMI)
-            .on(EvWBAck, StMI, {&CC::actWriteBackAck}, StI)
-            .verifyComplete();
+            // Writeback completion (possibly a stale ack after a probe).
+            .on(EvWBAck, StMI, {&CC::actWriteBackAck}, StI);
         return t;
     }();
     return t;
@@ -168,36 +146,7 @@ void
 CpuCache::coreRequest(Packet pkt)
 {
     assert(_respond && "core response path not bound");
-    switch (pkt.type) {
-      case MsgType::LoadReq:
-        handleLoad(pkt);
-        break;
-      case MsgType::StoreReq:
-        handleStore(pkt);
-        break;
-      default:
-        throw ProtocolError(name(), curTick(),
-                            std::string("unexpected core request ") +
-                                msgTypeName(pkt.type));
-    }
-}
-
-void
-CpuCache::handleLoad(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
-    table().fire(*this, EvLoad, lineState(ctx.line), ctx);
-}
-
-void
-CpuCache::handleStore(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
-    table().fire(*this, EvStore, lineState(ctx.line), ctx);
+    recvMsg(pkt);
 }
 
 void
@@ -335,43 +284,6 @@ CpuCache::actReplaceClean(TransCtx &ctx)
 }
 
 void
-CpuCache::handleData(Packet &pkt)
-{
-    Addr line = pkt.addr;
-    State st = lineState(line);
-
-    if ((st == StIS || st == StIM) &&
-        _array.findEntry(line) == nullptr && !_array.hasFreeWay(line)) {
-        // Every way of the set is pinned by an MSHR; retry the fill once
-        // one of them resolves. Checked before the transition is
-        // recorded, so a retried fill does not double-count coverage.
-        bool can_fill = false;
-        for (const CacheEntry *way : _array.setEntries(line)) {
-            if (!_tbes.contains(way->lineAddr)) {
-                can_fill = true;
-                break;
-            }
-        }
-        if (!can_fill) {
-            _cFillRetries->inc();
-            scheduleAfter(_cfg.recycleLatency,
-                          [this, pkt]() mutable {
-                              recvMsg(pkt);
-                          });
-            return;
-        }
-    }
-
-    // With no matching request the line is outside IS/IM/SM, where no
-    // Data row is defined: the table raises the protocol error.
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = line;
-    table().fireWith(*this, EvData, st, ctx,
-                     [&pkt] { return pkt.describe(); });
-}
-
-void
 CpuCache::completeFill(CacheEntry &entry, const Tbe &tbe,
                        const Packet &pkt)
 {
@@ -420,25 +332,11 @@ CpuCache::actDataFillUpgrade(TransCtx &ctx)
 }
 
 void
-CpuCache::handleProbe(Packet &pkt, bool downgrade)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = pkt.addr;
-    ctx.downgrade = downgrade;
-    ctx.ack.type = MsgType::CpuInvAck;
-    ctx.ack.addr = ctx.line;
-    ctx.ack.id = pkt.id;
-    table().fire(*this, downgrade ? EvPrbDowngrade : EvPrbInv,
-                 lineState(ctx.line), ctx);
-}
-
-void
 CpuCache::actProbeOwner(TransCtx &ctx)
 {
     CacheEntry *entry = _array.findEntry(ctx.line);
     ctx.ack.setLine(entry->data);
-    if (ctx.downgrade) {
+    if (ctx.pkt->type == MsgType::CpuPrbDowngrade) {
         entry->state = LineS;
         entry->clearDirty();
     } else {
@@ -449,7 +347,8 @@ CpuCache::actProbeOwner(TransCtx &ctx)
 void
 CpuCache::actProbeSharer(TransCtx &ctx)
 {
-    assert(!ctx.downgrade && "downgrade probe must target the owner");
+    assert(ctx.pkt->type != MsgType::CpuPrbDowngrade &&
+           "downgrade probe must target the owner");
     CacheEntry *entry = _array.findEntry(ctx.line);
     _array.invalidate(*entry);
 }
@@ -465,7 +364,7 @@ CpuCache::actProbeWriteback(TransCtx &ctx)
 void
 CpuCache::actProbeUpgrade(TransCtx &ctx)
 {
-    assert(!ctx.downgrade);
+    assert(ctx.pkt->type != MsgType::CpuPrbDowngrade);
     // Our S copy dies; the pending upgrade becomes a plain store
     // miss (the directory will grant M with fresh data).
     CacheEntry *entry = _array.findEntry(ctx.line);
@@ -484,18 +383,6 @@ CpuCache::actProbeSend(TransCtx &ctx)
 }
 
 void
-CpuCache::handleWBAck(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = pkt.addr;
-    // With no writeback in flight the line is outside MI, where no WBAck
-    // row is defined: the table raises the protocol error.
-    table().fireWith(*this, EvWBAck, lineState(ctx.line), ctx,
-                     [&pkt] { return pkt.describe(); });
-}
-
-void
 CpuCache::actWriteBackAck(TransCtx &ctx)
 {
     _tbes.erase(ctx.line);
@@ -504,24 +391,56 @@ CpuCache::actWriteBackAck(TransCtx &ctx)
 void
 CpuCache::recvMsg(Packet &pkt)
 {
+    Event ev;
     switch (pkt.type) {
-      case MsgType::CpuData:
-        handleData(pkt);
-        break;
-      case MsgType::CpuPrbInv:
-        handleProbe(pkt, false);
-        break;
-      case MsgType::CpuPrbDowngrade:
-        handleProbe(pkt, true);
-        break;
-      case MsgType::CpuWBAck:
-        handleWBAck(pkt);
-        break;
+      case MsgType::LoadReq: ev = EvLoad; break;
+      case MsgType::StoreReq: ev = EvStore; break;
+      case MsgType::CpuData: ev = EvData; break;
+      case MsgType::CpuPrbInv: ev = EvPrbInv; break;
+      case MsgType::CpuPrbDowngrade: ev = EvPrbDowngrade; break;
+      case MsgType::CpuWBAck: ev = EvWBAck; break;
       default:
         throw ProtocolError(name(), curTick(),
                             std::string("unexpected message ") +
                                 msgTypeName(pkt.type));
     }
+    TransCtx ctx;
+    ctx.pkt = &pkt;
+    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
+    const State st = lineState(ctx.line);
+
+    if (ev == EvData && (st == StIS || st == StIM) &&
+        _array.findEntry(ctx.line) == nullptr &&
+        !_array.hasFreeWay(ctx.line)) {
+        // Every way of the set is pinned by an MSHR; retry the fill once
+        // one of them resolves. Checked before the transition is
+        // recorded, so a retried fill does not double-count coverage.
+        bool can_fill = false;
+        for (const CacheEntry *way : _array.setEntries(ctx.line)) {
+            if (!_tbes.contains(way->lineAddr)) {
+                can_fill = true;
+                break;
+            }
+        }
+        if (!can_fill) {
+            _cFillRetries->inc();
+            scheduleAfter(_cfg.recycleLatency,
+                          [this, pkt]() mutable {
+                              recvMsg(pkt);
+                          });
+            return;
+        }
+    }
+    if (ev == EvPrbInv || ev == EvPrbDowngrade) {
+        ctx.ack.type = MsgType::CpuInvAck;
+        ctx.ack.addr = ctx.line;
+        ctx.ack.id = pkt.id;
+    }
+    // A response with no matching transient (Data outside IS/IM/SM,
+    // WBAck outside MI) finds no row: the table raises the protocol
+    // error.
+    table().fireWith(*this, ev, st, ctx,
+                     [&pkt] { return pkt.describe(); });
 }
 
 } // namespace drf

@@ -84,24 +84,27 @@ class CpuCache : public SimObject, public MsgReceiver
         Packet *pkt = nullptr;       ///< triggering packet
         Addr line = 0;               ///< aligned line address
         CacheEntry *entry = nullptr; ///< victim entry for Repl rows
-        bool downgrade = false;      ///< probe flavor (PrbDowngrade)
         Packet ack{};                ///< probe ack under construction
     };
 
     CpuCache(std::string name, EventQueue &eq, const CpuCacheConfig &cfg,
              Crossbar &xbar, int endpoint, int dir_ep);
 
+    /** The (event, state) space the table's rows define. */
     static const TransitionSpec &spec();
 
-    /** The validated static transition table (shared by instances). */
+    /** The static transition table (shared by instances). */
     static const TransitionTable<CpuCache> &table();
 
     void bindCoreResponse(RespFunc fn) { _respond = std::move(fn); }
 
-    /** Core-side entry point: LoadReq / StoreReq. */
+    /** Core-side entry point: LoadReq / StoreReq (via recvMsg). */
     void coreRequest(Packet pkt);
 
-    /** Directory-side delivery (CpuData, probes, CpuWBAck). */
+    /**
+     * The one message entry: core requests and directory-side delivery
+     * (CpuData, probes, CpuWBAck) each map to their table event.
+     */
     void recvMsg(Packet &pkt) override;
 
     CoverageGrid &coverage() { return _coverage; }
@@ -138,12 +141,6 @@ class CpuCache : public SimObject, public MsgReceiver
         _coverage.hit(ev, st);
     }
     void recycle(Packet &pkt);
-
-    void handleLoad(Packet &pkt);
-    void handleStore(Packet &pkt);
-    void handleData(Packet &pkt);
-    void handleProbe(Packet &pkt, bool downgrade);
-    void handleWBAck(Packet &pkt);
 
     // Table actions (see the static table builder in cpu_cache.cc).
     void actRecycle(TransCtx &ctx);

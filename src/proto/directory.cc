@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "proto/protocol_error.hh"
-#include "sim/logger.hh"
 
 namespace drf
 {
@@ -12,66 +11,7 @@ namespace drf
 const TransitionSpec &
 Directory::spec()
 {
-    static TransitionSpec s = [] {
-        TransitionSpec spec(
-            "Directory", {"U", "CS", "CM", "B"},
-            {"GpuFetch", "GpuWrMem", "GpuAtomic", "CpuGets", "CpuGetx",
-             "CpuPutx", "DmaRead", "DmaWrite", "MemData", "MemWBAck",
-             "CpuInvAck", "GpuInvAck"});
-        // Every requestor event is defined in all three stable states and
-        // in B (stall / AtomicND retry); completion events only in B.
-        for (auto ev : {EvGpuFetch, EvGpuWrMem, EvGpuAtomic, EvCpuGets,
-                        EvCpuGetx, EvCpuPutx, EvDmaRead, EvDmaWrite}) {
-            for (auto st : {StU, StCS, StCM, StB})
-                spec.define(ev, st);
-        }
-        for (auto ev : {EvMemData, EvMemWBAck, EvCpuInvAck, EvGpuInvAck})
-            spec.define(ev, StB);
-
-        // A single-GPU tester system has no CPU caches and no DMA
-        // engine: every CPU/DMA-initiated cell, every cell requiring a
-        // CPU-owned state, and the GPU-probe ack are unreachable.
-        for (auto ev : {EvCpuGets, EvCpuGetx, EvCpuPutx, EvDmaRead,
-                        EvDmaWrite}) {
-            for (auto st : {StU, StCS, StCM, StB}) {
-                spec.markImpossible("gpu_tester", ev, st);
-                spec.markImpossible("gpu_tester_multi", ev, st);
-            }
-        }
-        for (auto ev : {EvGpuFetch, EvGpuWrMem, EvGpuAtomic}) {
-            for (auto tt : {"gpu_tester", "gpu_tester_multi"}) {
-                spec.markImpossible(tt, ev, StCS);
-                spec.markImpossible(tt, ev, StCM);
-            }
-        }
-        spec.markImpossible("gpu_tester", EvCpuInvAck, StB);
-        spec.markImpossible("gpu_tester", EvGpuInvAck, StB);
-        // With several GPU L2s the directory probes remote L2s on GPU
-        // writes and atomics, so GpuInvAck becomes reachable.
-        spec.markImpossible("gpu_tester_multi", EvCpuInvAck, StB);
-
-        // A CPU-tester-only system has no GPU and no DMA engine.
-        for (auto ev : {EvGpuFetch, EvGpuWrMem, EvGpuAtomic, EvDmaRead,
-                        EvDmaWrite}) {
-            for (auto st : {StU, StCS, StCM, StB})
-                spec.markImpossible("cpu_tester", ev, st);
-        }
-        spec.markImpossible("cpu_tester", EvGpuInvAck, StB);
-
-        // The union run (GPU tester then CPU tester, Section IV.C) still
-        // never generates DMA traffic or concurrent CPU+GPU sharing.
-        for (auto ev : {EvDmaRead, EvDmaWrite}) {
-            for (auto st : {StU, StCS, StCM, StB})
-                spec.markImpossible("tester_union", ev, st);
-        }
-        for (auto ev : {EvGpuFetch, EvGpuWrMem, EvGpuAtomic}) {
-            spec.markImpossible("tester_union", ev, StCS);
-            spec.markImpossible("tester_union", ev, StCM);
-        }
-        spec.markImpossible("tester_union", EvGpuInvAck, StB);
-        return spec;
-    }();
-    return s;
+    return table().spec();
 }
 
 const TransitionTable<Directory> &
@@ -80,7 +20,12 @@ Directory::table()
     using T = TransitionTable<Directory>;
     using D = Directory;
     static const T t = [] {
-        T t(spec());
+        T t("Directory", {"U", "CS", "CM", "B"},
+            {"GpuFetch", "GpuWrMem", "GpuAtomic", "CpuGets", "CpuGetx",
+             "CpuPutx", "DmaRead", "DmaWrite", "MemData", "MemWBAck",
+             "CpuInvAck", "GpuInvAck"});
+        // Every requestor event has a row in all three stable states and
+        // in B (stall / AtomicND retry); completion events only in B.
         t.on(EvGpuFetch, StU, {&D::actGpuFetchClean}, StB)
             .on(EvGpuFetch, StCS, {&D::actGpuFetchClean}, StB)
             .on(EvGpuFetch, StCM, {&D::actGpuFetchOwned}, StB)
@@ -120,8 +65,49 @@ Directory::table()
             .on(EvMemData, StB, {&D::actMemData})
             .on(EvMemWBAck, StB, {&D::actMemWBAck})
             .on(EvCpuInvAck, StB, {&D::actInvAck}, StB)
-            .on(EvGpuInvAck, StB, {&D::actInvAck}, StB)
-            .verifyComplete();
+            .on(EvGpuInvAck, StB, {&D::actInvAck}, StB);
+
+        // A single-GPU tester system has no CPU caches and no DMA
+        // engine: every CPU/DMA-initiated cell, every cell requiring a
+        // CPU-owned state, and the GPU-probe ack are unreachable.
+        for (auto ev : {EvCpuGets, EvCpuGetx, EvCpuPutx, EvDmaRead,
+                        EvDmaWrite}) {
+            for (auto st : {StU, StCS, StCM, StB}) {
+                t.markImpossible("gpu_tester", ev, st);
+                t.markImpossible("gpu_tester_multi", ev, st);
+            }
+        }
+        for (auto ev : {EvGpuFetch, EvGpuWrMem, EvGpuAtomic}) {
+            for (auto tt : {"gpu_tester", "gpu_tester_multi"}) {
+                t.markImpossible(tt, ev, StCS);
+                t.markImpossible(tt, ev, StCM);
+            }
+        }
+        t.markImpossible("gpu_tester", EvCpuInvAck, StB);
+        t.markImpossible("gpu_tester", EvGpuInvAck, StB);
+        // With several GPU L2s the directory probes remote L2s on GPU
+        // writes and atomics, so GpuInvAck becomes reachable.
+        t.markImpossible("gpu_tester_multi", EvCpuInvAck, StB);
+
+        // A CPU-tester-only system has no GPU and no DMA engine.
+        for (auto ev : {EvGpuFetch, EvGpuWrMem, EvGpuAtomic, EvDmaRead,
+                        EvDmaWrite}) {
+            for (auto st : {StU, StCS, StCM, StB})
+                t.markImpossible("cpu_tester", ev, st);
+        }
+        t.markImpossible("cpu_tester", EvGpuInvAck, StB);
+
+        // The union run (GPU tester then CPU tester, Section IV.C) still
+        // never generates DMA traffic or concurrent CPU+GPU sharing.
+        for (auto ev : {EvDmaRead, EvDmaWrite}) {
+            for (auto st : {StU, StCS, StCM, StB})
+                t.markImpossible("tester_union", ev, st);
+        }
+        for (auto ev : {EvGpuFetch, EvGpuWrMem, EvGpuAtomic}) {
+            t.markImpossible("tester_union", ev, StCS);
+            t.markImpossible("tester_union", ev, StCM);
+        }
+        t.markImpossible("tester_union", EvGpuInvAck, StB);
         return t;
     }();
     return t;
@@ -146,7 +132,7 @@ Directory::Directory(std::string name, EventQueue &eq,
     _lines.reserve(256);
     xbar.attach(endpoint, *this);
     _memPort.bind(mem);
-    mem.bindResponse([this](Packet &&pkt) { handleMemResp(pkt); });
+    mem.bindResponse([this](Packet &&pkt) { recvMsg(pkt); });
 }
 
 Directory::Line &
@@ -284,15 +270,6 @@ Directory::applyAtomic(LineData &buf, Addr addr, unsigned size,
 }
 
 void
-Directory::handleGpuFetch(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = pkt.addr;
-    table().fire(*this, EvGpuFetch, visibleState(line(ctx.line)), ctx);
-}
-
-void
 Directory::actRecycle(TransCtx &ctx)
 {
     recycle(*ctx.pkt);
@@ -349,15 +326,6 @@ Directory::actGpuFetchClean(TransCtx &ctx)
         _xbar.route(_endpoint, dst, std::move(resp));
     };
     readMem(la);
-}
-
-void
-Directory::handleGpuWrMem(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = pkt.addr;
-    table().fire(*this, EvGpuWrMem, visibleState(line(ctx.line)), ctx);
 }
 
 void
@@ -441,15 +409,6 @@ Directory::actGpuWriteClean(TransCtx &ctx)
         return;
     }
     gpuWriteAndAck(la, t.origin.data, t.origin.mask);
-}
-
-void
-Directory::handleGpuAtomic(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
-    table().fire(*this, EvGpuAtomic, visibleState(line(ctx.line)), ctx);
 }
 
 void
@@ -577,15 +536,6 @@ Directory::actGpuAtomicClean(TransCtx &ctx)
 }
 
 void
-Directory::handleCpuGets(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = pkt.addr;
-    table().fire(*this, EvCpuGets, visibleState(line(ctx.line)), ctx);
-}
-
-void
 Directory::grantShared(Addr la, const LineData &data)
 {
     Line &l2 = line(la);
@@ -632,15 +582,6 @@ Directory::actCpuGetsClean(TransCtx &ctx)
         grantShared(la, data);
     };
     readMem(la);
-}
-
-void
-Directory::handleCpuGetx(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = pkt.addr;
-    table().fire(*this, EvCpuGetx, visibleState(line(ctx.line)), ctx);
 }
 
 void
@@ -714,15 +655,6 @@ Directory::actCpuGetx(TransCtx &ctx)
 }
 
 void
-Directory::handleCpuPutx(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = pkt.addr;
-    table().fire(*this, EvCpuPutx, visibleState(line(ctx.line)), ctx);
-}
-
-void
 Directory::actCpuPutx(TransCtx &ctx)
 {
     Addr la = ctx.line;
@@ -755,15 +687,6 @@ Directory::actCpuPutx(TransCtx &ctx)
         _xbar.route(_endpoint, dst, std::move(ack));
     };
     writeMem(la, t.origin.data, fullLineMask);
-}
-
-void
-Directory::handleDmaRead(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = pkt.addr;
-    table().fire(*this, EvDmaRead, visibleState(line(ctx.line)), ctx);
 }
 
 void
@@ -811,15 +734,6 @@ Directory::actDmaReadClean(TransCtx &ctx)
         dmaReadRespond(la, data);
     };
     readMem(la);
-}
-
-void
-Directory::handleDmaWrite(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = pkt.addr;
-    table().fire(*this, EvDmaWrite, visibleState(line(ctx.line)), ctx);
 }
 
 void
@@ -884,27 +798,6 @@ Directory::actDmaWriteClean(TransCtx &ctx)
 }
 
 void
-Directory::handleMemResp(Packet &pkt)
-{
-    // With no transaction in flight the line is stable, and MemData /
-    // MemWBAck rows exist only in B: the table raises the protocol error.
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = pkt.addr;
-    if (pkt.type == MsgType::MemData) {
-        table().fireWith(*this, EvMemData, visibleState(line(ctx.line)),
-                         ctx, [&pkt] { return pkt.describe(); });
-    } else if (pkt.type == MsgType::MemWBAck) {
-        table().fireWith(*this, EvMemWBAck, visibleState(line(ctx.line)),
-                         ctx, [&pkt] { return pkt.describe(); });
-    } else {
-        throw ProtocolError(name(), curTick(),
-                            "unexpected memory response: " +
-                                pkt.describe());
-    }
-}
-
-void
 Directory::actMemData(TransCtx &ctx)
 {
     Line &l = line(ctx.line);
@@ -922,19 +815,6 @@ Directory::actMemWBAck(TransCtx &ctx)
     auto fn = std::move(l.txn->onMemWBAck);
     l.txn->onMemWBAck = nullptr;
     fn();
-}
-
-void
-Directory::handleInvAck(Packet &pkt, bool from_gpu)
-{
-    // A probe ack with no transaction finds the line stable, where no
-    // InvAck row is defined: the table raises the protocol error.
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = pkt.addr;
-    table().fireWith(*this, from_gpu ? EvGpuInvAck : EvCpuInvAck,
-                     visibleState(line(ctx.line)), ctx,
-                     [&pkt] { return pkt.describe(); });
 }
 
 void
@@ -958,42 +838,33 @@ Directory::actInvAck(TransCtx &ctx)
 void
 Directory::recvMsg(Packet &pkt)
 {
+    Event ev;
     switch (pkt.type) {
-      case MsgType::FetchBlk:
-        handleGpuFetch(pkt);
-        break;
-      case MsgType::WrMem:
-        handleGpuWrMem(pkt);
-        break;
-      case MsgType::DirAtomic:
-        handleGpuAtomic(pkt);
-        break;
-      case MsgType::Gets:
-        handleCpuGets(pkt);
-        break;
-      case MsgType::Getx:
-        handleCpuGetx(pkt);
-        break;
-      case MsgType::Putx:
-        handleCpuPutx(pkt);
-        break;
-      case MsgType::DmaRead:
-        handleDmaRead(pkt);
-        break;
-      case MsgType::DmaWrite:
-        handleDmaWrite(pkt);
-        break;
-      case MsgType::InvAck:
-        handleInvAck(pkt, true);
-        break;
-      case MsgType::CpuInvAck:
-        handleInvAck(pkt, false);
-        break;
+      case MsgType::FetchBlk: ev = EvGpuFetch; break;
+      case MsgType::WrMem: ev = EvGpuWrMem; break;
+      case MsgType::DirAtomic: ev = EvGpuAtomic; break;
+      case MsgType::Gets: ev = EvCpuGets; break;
+      case MsgType::Getx: ev = EvCpuGetx; break;
+      case MsgType::Putx: ev = EvCpuPutx; break;
+      case MsgType::DmaRead: ev = EvDmaRead; break;
+      case MsgType::DmaWrite: ev = EvDmaWrite; break;
+      case MsgType::MemData: ev = EvMemData; break;
+      case MsgType::MemWBAck: ev = EvMemWBAck; break;
+      case MsgType::CpuInvAck: ev = EvCpuInvAck; break;
+      case MsgType::InvAck: ev = EvGpuInvAck; break;
       default:
         throw ProtocolError(name(), curTick(),
                             std::string("unexpected message ") +
                                 msgTypeName(pkt.type));
     }
+    TransCtx ctx;
+    ctx.pkt = &pkt;
+    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
+    // A completion (memory response or probe ack) with no transaction in
+    // flight finds the line stable, and those rows exist only in B: the
+    // table raises the protocol error.
+    table().fireWith(*this, ev, visibleState(line(ctx.line)), ctx,
+                     [&pkt] { return pkt.describe(); });
 }
 
 } // namespace drf

@@ -109,11 +109,17 @@ class Directory : public SimObject, public MsgReceiver
               Crossbar &xbar, int endpoint, std::vector<int> gpu_l2_eps,
               SimpleMemory &mem, FaultInjector *fault = nullptr);
 
+    /** The (event, state) space the table's rows define. */
     static const TransitionSpec &spec();
 
-    /** The validated static transition table (shared by instances). */
+    /** The static transition table (shared by instances). */
     static const TransitionTable<Directory> &table();
 
+    /**
+     * The one message entry: requests from the L2s, CPU caches and DMA,
+     * probe acks, and (through the memory's response callback) MemData
+     * and MemWBAck each map to their table event.
+     */
     void recvMsg(Packet &pkt) override;
 
     CoverageGrid &coverage() { return _coverage; }
@@ -186,17 +192,6 @@ class Directory : public SimObject, public MsgReceiver
 
     void readMem(Addr line_addr);
     void writeMem(Addr line_addr, const LineData &data, ByteMask mask);
-
-    void handleGpuFetch(Packet &pkt);
-    void handleGpuWrMem(Packet &pkt);
-    void handleGpuAtomic(Packet &pkt);
-    void handleCpuGets(Packet &pkt);
-    void handleCpuGetx(Packet &pkt);
-    void handleCpuPutx(Packet &pkt);
-    void handleDmaRead(Packet &pkt);
-    void handleDmaWrite(Packet &pkt);
-    void handleMemResp(Packet &pkt);
-    void handleInvAck(Packet &pkt, bool from_gpu);
 
     // Table actions (see the static table builder in directory.cc).
     void actRecycle(TransCtx &ctx);

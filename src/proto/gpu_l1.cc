@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "proto/protocol_error.hh"
-#include "sim/logger.hh"
 
 namespace drf
 {
@@ -11,71 +10,13 @@ namespace drf
 const TransitionSpec &
 GpuL1Cache::spec()
 {
-    static TransitionSpec s = [] {
-        TransitionSpec spec(
-            "GPU-L1", {"I", "V", "A"},
-            {"Load", "StoreThrough", "Atomic", "TCC_Ack", "TCC_AckWB",
-             "Evict", "Repl"});
-        // Load: miss fetch / hit / stall on pending MSHR.
-        spec.define(EvLoad, StI);
-        spec.define(EvLoad, StV);
-        spec.define(EvLoad, StA);
-        // StoreThrough: write-through from any stable state; stall on A.
-        spec.define(EvStoreThrough, StI);
-        spec.define(EvStoreThrough, StV);
-        spec.define(EvStoreThrough, StA);
-        // Atomic: forwarded below the L1; invalidates a valid copy.
-        spec.define(EvAtomic, StI);
-        spec.define(EvAtomic, StV);
-        spec.define(EvAtomic, StA);
-        // TCC_Ack only ever matches an MSHR.
-        spec.define(EvTccAck, StA);
-        // TCC_AckWB can find the line in any state (no-allocate stores).
-        spec.define(EvTccAckWB, StI);
-        spec.define(EvTccAckWB, StV);
-        spec.define(EvTccAckWB, StA);
-        // Evict (acquire flash-invalidation) sweeps whatever is present.
-        spec.define(EvEvict, StI);
-        spec.define(EvEvict, StV);
-        spec.define(EvEvict, StA);
-        // Repl only ever victimizes a valid clean line.
-        spec.define(EvRepl, StV);
-        return spec;
-    }();
-    return s;
-}
-
-const TransitionSpec &
-GpuL1Cache::lrccSpec()
-{
-    static TransitionSpec s = [] {
-        TransitionSpec spec(
-            "GPU-L1-LRCC", {"I", "V", "A", "O", "M"},
-            {"Load", "Store", "Atomic", "TCC_Ack", "TCC_AckWB", "Evict",
-             "Repl", "WB"});
-        for (State st : {StI, StV, StA, StO, StM}) {
-            spec.define(EvLoad, st);
-            spec.define(EvStoreThrough, st);
-            spec.define(EvAtomic, st);
-            spec.define(EvTccAckWB, st);
-            spec.define(EvEvict, st);
-        }
-        spec.define(EvTccAck, StA);
-        // Repl victimizes any stable resident line.
-        spec.define(EvRepl, StV);
-        spec.define(EvRepl, StO);
-        spec.define(EvRepl, StM);
-        // WB: release/acquire write-back demotes M to O.
-        spec.define(EvWB, StM);
-        return spec;
-    }();
-    return s;
+    return tableFor(ProtocolKind::Viper).spec();
 }
 
 const TransitionSpec &
 GpuL1Cache::specFor(ProtocolKind kind)
 {
-    return kind == ProtocolKind::Lrcc ? lrccSpec() : spec();
+    return tableFor(kind).spec();
 }
 
 const TransitionTable<GpuL1Cache> &
@@ -84,7 +25,9 @@ GpuL1Cache::tableFor(ProtocolKind kind)
     using T = TransitionTable<GpuL1Cache>;
     using L1 = GpuL1Cache;
     static const T viper = [] {
-        T t(spec());
+        T t("GPU-L1", {"I", "V", "A"},
+            {"Load", "StoreThrough", "Atomic", "TCC_Ack", "TCC_AckWB",
+             "Evict", "Repl"});
         t.on(EvLoad, StI, {&L1::actLoadMiss}, StA)
             .on(EvLoad, StV, {&L1::actLoadHit}, StV)
             .on(EvLoad, StA, {&L1::actStall}, StA)
@@ -96,19 +39,26 @@ GpuL1Cache::tableFor(ProtocolKind kind)
             .on(EvAtomic, StV,
                 {&L1::actAtomicInvalidate, &L1::actAtomicForward}, StA)
             .on(EvAtomic, StA, {&L1::actStall}, StA)
+            // TCC_Ack only ever matches an MSHR.
             .on(EvTccAck, StA, {&L1::actFillOrComplete})
+            // TCC_AckWB can find the line in any state (no-allocate
+            // stores).
             .on(EvTccAckWB, StI, {&L1::actCompleteWriteThrough}, StI)
             .on(EvTccAckWB, StV, {&L1::actCompleteWriteThrough}, StV)
             .on(EvTccAckWB, StA, {&L1::actCompleteWriteThrough}, StA)
+            // Evict (acquire flash-invalidation) sweeps whatever is
+            // present.
             .on(EvEvict, StI, {}, StI)
             .on(EvEvict, StV, {&L1::actInvalidateEntry}, StI)
             .on(EvEvict, StA, {}, StA)
-            .on(EvRepl, StV, {&L1::actReplaceVictim}, StI)
-            .verifyComplete();
+            // Repl only ever victimizes a valid clean line.
+            .on(EvRepl, StV, {&L1::actReplaceVictim}, StI);
         return t;
     }();
     static const T lrcc = [] {
-        T t(lrccSpec());
+        T t("GPU-L1-LRCC", {"I", "V", "A", "O", "M"},
+            {"Load", "Store", "Atomic", "TCC_Ack", "TCC_AckWB", "Evict",
+             "Repl", "WB"});
         t.on(EvLoad, StI, {&L1::actLoadMiss}, StA)
             .on(EvLoad, StV, {&L1::actLoadHit}, StV)
             .on(EvLoad, StO, {&L1::actLoadHit}, StO)
@@ -141,12 +91,13 @@ GpuL1Cache::tableFor(ProtocolKind kind)
             .on(EvEvict, StM,
                 {&L1::actWritebackEntry, &L1::actInvalidateEntry}, StI)
             .on(EvEvict, StA, {}, StA)
+            // Repl victimizes any stable resident line.
             .on(EvRepl, StV, {&L1::actReplaceVictim}, StI)
             .on(EvRepl, StO, {&L1::actReplaceVictim}, StI)
             .on(EvRepl, StM,
                 {&L1::actWritebackEntry, &L1::actReplaceVictim}, StI)
-            .on(EvWB, StM, {&L1::actWritebackToOwned}, StO)
-            .verifyComplete();
+            // WB: release/acquire write-back demotes M to O.
+            .on(EvWB, StM, {&L1::actWritebackToOwned}, StO);
         return t;
     }();
     return kind == ProtocolKind::Lrcc ? lrcc : viper;
@@ -243,48 +194,7 @@ GpuL1Cache::coreRequest(Packet pkt)
         }
     }
 
-    switch (pkt.type) {
-      case MsgType::LoadReq:
-        handleLoad(pkt);
-        break;
-      case MsgType::StoreReq:
-        handleStore(pkt);
-        break;
-      case MsgType::AtomicReq:
-        handleAtomic(pkt);
-        break;
-      default:
-        throw ProtocolError(name(), curTick(),
-                            std::string("unexpected core request ") +
-                                msgTypeName(pkt.type));
-    }
-}
-
-void
-GpuL1Cache::handleLoad(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
-    _table->fire(*this, EvLoad, lineState(ctx.line), ctx);
-}
-
-void
-GpuL1Cache::handleStore(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
-    _table->fire(*this, EvStoreThrough, lineState(ctx.line), ctx);
-}
-
-void
-GpuL1Cache::handleAtomic(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
-    _table->fire(*this, EvAtomic, lineState(ctx.line), ctx);
+    recvMsg(pkt);
 }
 
 void
@@ -566,19 +476,6 @@ GpuL1Cache::fillLine(Addr line_addr, const LineData &data)
 }
 
 void
-GpuL1Cache::handleTccAck(Packet &pkt)
-{
-    Addr line = lineAlign(pkt.addr, _cfg.lineBytes);
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = line;
-    // With no matching MSHR the line is in I or V, neither of which
-    // defines a TCC_Ack row: the table raises the protocol error.
-    _table->fireWith(*this, EvTccAck, lineState(line), ctx,
-                     [&pkt] { return pkt.describe(); });
-}
-
-void
 GpuL1Cache::actFillOrComplete(TransCtx &ctx)
 {
     Packet &pkt = *ctx.pkt;
@@ -637,25 +534,6 @@ GpuL1Cache::actFillOrCompleteLrcc(TransCtx &ctx)
 }
 
 void
-GpuL1Cache::handleTccAckWB(Packet &pkt)
-{
-    Packet *found = _pendingWT.find(pkt.id);
-    if (found == nullptr) {
-        // Keyed by packet id, not line state, so the table's row lookup
-        // cannot catch this: every state defines TCC_AckWB.
-        throw ProtocolError(name(), curTick(),
-                            "TCC_AckWB with no matching write-through: " +
-                                pkt.describe());
-    }
-    Addr line = lineAlign(pkt.addr, _cfg.lineBytes);
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = line;
-    ctx.pending = found;
-    _table->fire(*this, EvTccAckWB, lineState(line), ctx);
-}
-
-void
 GpuL1Cache::actCompleteWriteThrough(TransCtx &ctx)
 {
     Packet resp = *ctx.pending;
@@ -692,18 +570,35 @@ GpuL1Cache::tryDrainReleaseQueue()
 void
 GpuL1Cache::recvMsg(Packet &pkt)
 {
+    Event ev;
     switch (pkt.type) {
-      case MsgType::TccAck:
-        handleTccAck(pkt);
-        break;
-      case MsgType::TccAckWB:
-        handleTccAckWB(pkt);
-        break;
+      case MsgType::LoadReq: ev = EvLoad; break;
+      case MsgType::StoreReq: ev = EvStoreThrough; break;
+      case MsgType::AtomicReq: ev = EvAtomic; break;
+      case MsgType::TccAck: ev = EvTccAck; break;
+      case MsgType::TccAckWB: ev = EvTccAckWB; break;
       default:
         throw ProtocolError(name(), curTick(),
                             std::string("unexpected message ") +
                                 msgTypeName(pkt.type));
     }
+    TransCtx ctx;
+    ctx.pkt = &pkt;
+    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
+    if (ev == EvTccAckWB) {
+        ctx.pending = _pendingWT.find(pkt.id);
+        if (ctx.pending == nullptr) {
+            // Keyed by packet id, not line state, so the table's row
+            // lookup cannot catch this: every state defines TCC_AckWB.
+            throw ProtocolError(name(), curTick(),
+                                "TCC_AckWB with no matching write-through: " +
+                                    pkt.describe());
+        }
+    }
+    // A TCC_Ack with no matching MSHR finds the line in I or V, neither
+    // of which defines a TCC_Ack row: the table raises the protocol error.
+    _table->fireWith(*this, ev, lineState(ctx.line), ctx,
+                     [&pkt] { return pkt.describe(); });
 }
 
 } // namespace drf

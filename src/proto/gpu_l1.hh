@@ -127,13 +127,10 @@ class GpuL1Cache : public SimObject, public MsgReceiver
     /** The shared (event, state) spec for VIPER GPU L1 instances. */
     static const TransitionSpec &spec();
 
-    /** The (event, state) spec of the LRCC ownership variant. */
-    static const TransitionSpec &lrccSpec();
-
     /** The spec for a protocol kind. */
     static const TransitionSpec &specFor(ProtocolKind kind);
 
-    /** The transition table for a protocol kind (validated, static). */
+    /** The transition table for a protocol kind (static). */
     static const TransitionTable<GpuL1Cache> &tableFor(ProtocolKind kind);
 
     /** Bind the core-side response path. */
@@ -142,11 +139,15 @@ class GpuL1Cache : public SimObject, public MsgReceiver
     /**
      * Core-side request entry point. Accepts LoadReq, StoreReq and
      * AtomicReq packets; acquire/release flags carry the synchronization
-     * semantics and pkt.scope bounds them.
+     * semantics and pkt.scope bounds them. Once they are applied the
+     * request takes recvMsg's path.
      */
     void coreRequest(Packet pkt);
 
-    /** L2-side message delivery (TccAck / TccAckWB). */
+    /**
+     * The one message entry: maps the packet type to its table event and
+     * fires the row (L2-side TccAck / TccAckWB, and the core requests).
+     */
     void recvMsg(Packet &pkt) override;
 
     /** Write-throughs/write-backs issued but not yet acknowledged. */
@@ -189,12 +190,6 @@ class GpuL1Cache : public SimObject, public MsgReceiver
 
     /** Retry a stalled core request later. */
     void recycle(Packet &pkt);
-
-    void handleLoad(Packet &pkt);
-    void handleStore(Packet &pkt);
-    void handleAtomic(Packet &pkt);
-    void handleTccAck(Packet &pkt);
-    void handleTccAckWB(Packet &pkt);
 
     // Table actions (see the static table builders in gpu_l1.cc).
     void actStall(TransCtx &ctx);

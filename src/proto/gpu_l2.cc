@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "proto/protocol_error.hh"
-#include "sim/logger.hh"
 
 namespace drf
 {
@@ -12,49 +11,7 @@ namespace drf
 const TransitionSpec &
 GpuL2Cache::spec()
 {
-    static TransitionSpec s = [] {
-        TransitionSpec spec(
-            "GPU-L2", {"I", "V", "IV", "A"},
-            {"RdBlk", "WrVicBlk", "Atomic", "AtomicD", "AtomicND", "Data",
-             "L2_Repl", "PrbInv", "WBAck"});
-        spec.define(EvRdBlk, StI);
-        spec.define(EvRdBlk, StV);
-        spec.define(EvRdBlk, StIV);  // stall
-        spec.define(EvRdBlk, StA);   // stall
-        spec.define(EvWrVicBlk, StI);
-        spec.define(EvWrVicBlk, StV);
-        spec.define(EvWrVicBlk, StIV); // stall
-        spec.define(EvWrVicBlk, StA);  // stall
-        spec.define(EvAtomic, StI);
-        spec.define(EvAtomic, StV);
-        spec.define(EvAtomic, StIV); // stall
-        spec.define(EvAtomic, StA);  // queued behind the pending atomic
-        spec.define(EvAtomicD, StA);
-        spec.define(EvAtomicND, StA);
-        spec.define(EvData, StIV);
-        spec.define(EvL2Repl, StV);
-        spec.define(EvPrbInv, StI);
-        spec.define(EvPrbInv, StV);
-        spec.define(EvPrbInv, StIV);
-        // A probe can find the line with an atomic outstanding when the
-        // atomic was nacked while a remote L2's write transaction holds
-        // the directory (multi-GPU systems); the local copy is already
-        // gone, so the probe just acks.
-        spec.define(EvPrbInv, StA);
-        spec.define(EvWBAck, StI);
-        spec.define(EvWBAck, StV);
-        spec.define(EvWBAck, StIV);
-        spec.define(EvWBAck, StA);
-
-        // With only the GPU tester attached there is a single L2 and no
-        // CPU, so the directory never probes it (Section IV.B, "Impsb").
-        // In a multi-GPU system ("gpu_tester_multi") every PrbInv cell
-        // becomes reachable by the GPU tester alone.
-        for (auto st : {StI, StV, StIV, StA})
-            spec.markImpossible("gpu_tester", EvPrbInv, st);
-        return spec;
-    }();
-    return s;
+    return table().spec();
 }
 
 const TransitionTable<GpuL2Cache> &
@@ -63,7 +20,9 @@ GpuL2Cache::table()
     using T = TransitionTable<GpuL2Cache>;
     using L2 = GpuL2Cache;
     static const T t = [] {
-        T t(spec());
+        T t("GPU-L2", {"I", "V", "IV", "A"},
+            {"RdBlk", "WrVicBlk", "Atomic", "AtomicD", "AtomicND", "Data",
+             "L2_Repl", "PrbInv", "WBAck"});
         t.on(EvRdBlk, StI, {&L2::actReadMiss}, StIV)
             .on(EvRdBlk, StV, {&L2::actReadHit}, StV)
             .on(EvRdBlk, StIV, {&L2::actRecycle}, StIV)
@@ -85,12 +44,22 @@ GpuL2Cache::table()
             .on(EvPrbInv, StV,
                 {&L2::actProbeInvalidate, &L2::actProbeAck}, StI)
             .on(EvPrbInv, StIV, {&L2::actProbeAck}, StIV)
+            // A probe can find the line with an atomic outstanding when
+            // the atomic was nacked while a remote L2's write transaction
+            // holds the directory (multi-GPU systems); the local copy is
+            // already gone, so the probe just acks.
             .on(EvPrbInv, StA, {&L2::actProbeAck}, StA)
             .on(EvWBAck, StI, {&L2::actWriteBackAck}, StI)
             .on(EvWBAck, StV, {&L2::actWriteBackAck}, StV)
             .on(EvWBAck, StIV, {&L2::actWriteBackAck}, StIV)
-            .on(EvWBAck, StA, {&L2::actWriteBackAck}, StA)
-            .verifyComplete();
+            .on(EvWBAck, StA, {&L2::actWriteBackAck}, StA);
+
+        // With only the GPU tester attached there is a single L2 and no
+        // CPU, so the directory never probes it (Section IV.B, "Impsb").
+        // In a multi-GPU system ("gpu_tester_multi") every PrbInv cell
+        // becomes reachable by the GPU tester alone.
+        for (auto st : {StI, StV, StIV, StA})
+            t.markImpossible("gpu_tester", EvPrbInv, st);
         return t;
     }();
     return t;
@@ -155,15 +124,6 @@ GpuL2Cache::respondData(const Packet &req, const CacheEntry &entry)
 }
 
 void
-GpuL2Cache::handleRdBlk(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
-    table().fire(*this, EvRdBlk, lineState(ctx.line), ctx);
-}
-
-void
 GpuL2Cache::actRecycle(TransCtx &ctx)
 {
     recycle(*ctx.pkt);
@@ -193,15 +153,6 @@ GpuL2Cache::actReadMiss(TransCtx &ctx)
     req.requestor = pkt.requestor;
     req.issueTick = curTick();
     _xbar.route(_endpoint, _dirEndpoint, std::move(req));
-}
-
-void
-GpuL2Cache::handleWrThrough(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
-    table().fire(*this, EvWrVicBlk, lineState(ctx.line), ctx);
 }
 
 void
@@ -275,15 +226,6 @@ GpuL2Cache::issueAtomic(Addr line_addr)
 }
 
 void
-GpuL2Cache::handleAtomic(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
-    table().fire(*this, EvAtomic, lineState(ctx.line), ctx);
-}
-
-void
 GpuL2Cache::actAtomicQueue(TransCtx &ctx)
 {
     // Serialize behind the atomic already in flight.
@@ -307,18 +249,6 @@ GpuL2Cache::actAtomicStart(TransCtx &ctx)
     _atomicTbes.emplace(ctx.line, idx);
     _cAtomics->inc();
     issueAtomic(ctx.line);
-}
-
-void
-GpuL2Cache::handleAtomicD(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
-    // With no pending atomic the line is not in A, and only A defines
-    // an AtomicD row: the table raises the protocol error.
-    table().fireWith(*this, EvAtomicD, lineState(ctx.line), ctx,
-                     [&pkt] { return pkt.describe(); });
 }
 
 void
@@ -350,16 +280,6 @@ GpuL2Cache::actAtomicDone(TransCtx &ctx)
     // Cache the post-atomic line contents delivered with the ack.
     assert(pkt.dataLen == _cfg.lineBytes);
     fillLine(line, pkt.data);
-}
-
-void
-GpuL2Cache::handleAtomicND(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
-    table().fireWith(*this, EvAtomicND, lineState(ctx.line), ctx,
-                     [&pkt] { return pkt.describe(); });
 }
 
 void
@@ -434,18 +354,6 @@ GpuL2Cache::fillLine(Addr line_addr, const LineData &data)
 }
 
 void
-GpuL2Cache::handleDirData(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
-    // With no refill MSHR the line is not in IV, and only IV defines a
-    // Data row: the table raises the protocol error.
-    table().fireWith(*this, EvData, lineState(ctx.line), ctx,
-                     [&pkt] { return pkt.describe(); });
-}
-
-void
 GpuL2Cache::actDataFill(TransCtx &ctx)
 {
     Packet &pkt = *ctx.pkt;
@@ -458,24 +366,6 @@ GpuL2Cache::actDataFill(TransCtx &ctx)
         respondData(waiter, entry);
     _fetchPool[idx].waiters.clear();
     _fetchFree.push_back(idx);
-}
-
-void
-GpuL2Cache::handleDirWBAck(Packet &pkt)
-{
-    PendingWB *found = _pendingWBs.find(pkt.id);
-    if (found == nullptr) {
-        // Keyed by packet id, not line state: the table's row lookup
-        // cannot detect this, so it stays an explicit guard.
-        throw ProtocolError(name(), curTick(),
-                            "WBAck with no pending write: " +
-                                pkt.describe());
-    }
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
-    ctx.pending = found;
-    table().fire(*this, EvWBAck, lineState(ctx.line), ctx);
 }
 
 void
@@ -507,15 +397,6 @@ GpuL2Cache::actWriteBackAck(TransCtx &ctx)
 }
 
 void
-GpuL2Cache::handlePrbInv(Packet &pkt)
-{
-    TransCtx ctx;
-    ctx.pkt = &pkt;
-    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
-    table().fire(*this, EvPrbInv, lineState(ctx.line), ctx);
-}
-
-void
 GpuL2Cache::actProbeInvalidate(TransCtx &ctx)
 {
     CacheEntry *entry = _array.findEntry(ctx.line);
@@ -541,36 +422,38 @@ GpuL2Cache::actProbeAck(TransCtx &ctx)
 void
 GpuL2Cache::recvMsg(Packet &pkt)
 {
+    Event ev;
     switch (pkt.type) {
-      case MsgType::RdBlk:
-        handleRdBlk(pkt);
-        break;
-      case MsgType::WrThrough:
-        handleWrThrough(pkt);
-        break;
-      case MsgType::GpuAtomic:
-        handleAtomic(pkt);
-        break;
-      case MsgType::AtomicD:
-        handleAtomicD(pkt);
-        break;
-      case MsgType::AtomicND:
-        handleAtomicND(pkt);
-        break;
-      case MsgType::DirData:
-        handleDirData(pkt);
-        break;
-      case MsgType::DirWBAck:
-        handleDirWBAck(pkt);
-        break;
-      case MsgType::PrbInv:
-        handlePrbInv(pkt);
-        break;
+      case MsgType::RdBlk: ev = EvRdBlk; break;
+      case MsgType::WrThrough: ev = EvWrVicBlk; break;
+      case MsgType::GpuAtomic: ev = EvAtomic; break;
+      case MsgType::AtomicD: ev = EvAtomicD; break;
+      case MsgType::AtomicND: ev = EvAtomicND; break;
+      case MsgType::DirData: ev = EvData; break;
+      case MsgType::DirWBAck: ev = EvWBAck; break;
+      case MsgType::PrbInv: ev = EvPrbInv; break;
       default:
         throw ProtocolError(name(), curTick(),
                             std::string("unexpected message ") +
                                 msgTypeName(pkt.type));
     }
+    TransCtx ctx;
+    ctx.pkt = &pkt;
+    ctx.line = lineAlign(pkt.addr, _cfg.lineBytes);
+    if (ev == EvWBAck) {
+        ctx.pending = _pendingWBs.find(pkt.id);
+        if (ctx.pending == nullptr) {
+            // Keyed by packet id, not line state: the table's row lookup
+            // cannot detect this, so it stays an explicit guard.
+            throw ProtocolError(name(), curTick(),
+                                "WBAck with no pending write: " +
+                                    pkt.describe());
+        }
+    }
+    // A response with no matching MSHR (AtomicD/AtomicND outside A, Data
+    // outside IV) finds no row: the table raises the protocol error.
+    table().fireWith(*this, ev, lineState(ctx.line), ctx,
+                     [&pkt] { return pkt.describe(); });
 }
 
 } // namespace drf

@@ -95,9 +95,10 @@ class GpuL2Cache : public SimObject, public MsgReceiver
                Crossbar &xbar, int endpoint, int dir_ep,
                FaultInjector *fault = nullptr);
 
+    /** The (event, state) space the table's rows define. */
     static const TransitionSpec &spec();
 
-    /** The validated static transition table (shared by instances). */
+    /** The static transition table (shared by instances). */
     static const TransitionTable<GpuL2Cache> &table();
 
     void recvMsg(Packet &pkt) override;
@@ -156,15 +157,6 @@ class GpuL2Cache : public SimObject, public MsgReceiver
         _coverage.hit(ev, st);
     }
     void recycle(Packet &pkt);
-
-    void handleRdBlk(Packet &pkt);
-    void handleWrThrough(Packet &pkt);
-    void handleAtomic(Packet &pkt);
-    void handleAtomicD(Packet &pkt);
-    void handleAtomicND(Packet &pkt);
-    void handleDirData(Packet &pkt);
-    void handleDirWBAck(Packet &pkt);
-    void handlePrbInv(Packet &pkt);
 
     // Table actions (see the static table builder in gpu_l2.cc).
     void actRecycle(TransCtx &ctx);

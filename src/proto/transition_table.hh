@@ -8,8 +8,14 @@
  *
  * exactly like a SLICC specification. Instead of a hand-written switch
  * per handler, each controller builds one immutable TransitionTable at
- * startup (validated against its TransitionSpec) and dispatches every
- * message through TransitionTable::fire:
+ * startup and dispatches every message through TransitionTable::fire.
+ *
+ * The table is the single declaration of a controller: it is built
+ * from the controller's name, states and events, each on() row defines
+ * its (event, state) cell in the table's TransitionSpec, and the Impsb
+ * marks follow the rows in the same static build. The spec that
+ * coverage grids classify against is therefore exactly the set of
+ * declared rows. Dispatch:
  *
  *  1. the (event, state) row is looked up; a *missing* row throws
  *     ProtocolError naming the offending row — there is no silent
@@ -38,6 +44,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coverage/coverage.hh"
@@ -69,26 +76,24 @@ class TransitionTable
     /** NextState marker: the successor depends on runtime data. */
     static constexpr int kDynamic = -1;
 
-    explicit TransitionTable(const TransitionSpec &spec)
-        : _spec(&spec), _rows(spec.numCells())
+    TransitionTable(std::string name, std::vector<std::string> states,
+                    std::vector<std::string> events)
+        : _spec(std::move(name), std::move(states), std::move(events)),
+          _rows(_spec.numCells())
     {}
 
-    const TransitionSpec &spec() const { return *_spec; }
+    /** The (event, state) space this table's rows define. */
+    const TransitionSpec &spec() const { return _spec; }
 
-    /**
-     * Declare the row for (event, state). The cell must be defined in
-     * the spec (asserted): the spec is the single source of truth for
-     * which transitions exist, the table for what they do.
-     */
+    /** Declare the row for (event, state), defining that cell. */
     TransitionTable &
     on(std::size_t event, std::size_t state,
        std::initializer_list<Action> actions, int next_state = kDynamic)
     {
-        assert(_spec->defined(event, state) &&
-               "table row for a cell the spec does not define");
-        Row &row = _rows[_spec->cell(event, state)];
+        Row &row = _rows[_spec.cell(event, state)];
         assert(!row.present && "duplicate table row");
         assert(actions.size() <= kMaxActions);
+        _spec.define(event, state);
         row.present = true;
         row.next = static_cast<std::int16_t>(next_state);
         for (Action a : actions)
@@ -96,36 +101,23 @@ class TransitionTable
         return *this;
     }
 
-    /** True if (event, state) has a declared row. */
-    bool
-    handled(std::size_t event, std::size_t state) const
+    /**
+     * Mark a declared row unreachable under @p test_type (the Impsb
+     * class of Section IV.B).
+     */
+    TransitionTable &
+    markImpossible(const std::string &test_type, std::size_t event,
+                   std::size_t state)
     {
-        return _rows[_spec->cell(event, state)].present;
+        _spec.markImpossible(test_type, event, state);
+        return *this;
     }
 
     /** Advisory successor of a declared row (kDynamic if data-driven). */
     int
     nextState(std::size_t event, std::size_t state) const
     {
-        return _rows[_spec->cell(event, state)].next;
-    }
-
-    /**
-     * Validate completeness: every spec-defined cell has a row. Called
-     * once after the static table is built; together with the assert in
-     * on() this pins table == spec exactly.
-     */
-    const TransitionTable &
-    verifyComplete() const
-    {
-        for (std::size_t ev = 0; ev < _spec->numEvents(); ++ev) {
-            for (std::size_t st = 0; st < _spec->numStates(); ++st) {
-                assert(!_spec->defined(ev, st) || handled(ev, st));
-                (void)ev;
-                (void)st;
-            }
-        }
-        return *this;
+        return _rows[_spec.cell(event, state)].next;
     }
 
     /**
@@ -149,7 +141,7 @@ class TransitionTable
     fireWith(C &self, std::size_t event, std::size_t state, Ctx &ctx,
              DetailFn &&detail_fn) const
     {
-        const Row &row = _rows[_spec->cell(event, state)];
+        const Row &row = _rows[_spec.cell(event, state)];
         if (!row.present)
             throwUnhandled(self, event, state, detail_fn());
         self.transition(static_cast<typename C::Event>(event),
@@ -172,14 +164,14 @@ class TransitionTable
                    const std::string &detail) const
     {
         std::string msg = "unhandled transition row (" +
-                          _spec->events()[event] + ", " +
-                          _spec->states()[state] + ") in " + _spec->name();
+                          _spec.events()[event] + ", " +
+                          _spec.states()[state] + ") in " + _spec.name();
         if (!detail.empty())
             msg += ": " + detail;
         throw ProtocolError(self.name(), self.curTick(), msg);
     }
 
-    const TransitionSpec *_spec;
+    TransitionSpec _spec;
     std::vector<Row> _rows;
 };
 

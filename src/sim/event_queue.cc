@@ -53,42 +53,18 @@ EventQueue::popHeap()
     return top;
 }
 
-void
-EventQueue::executeNext()
-{
-    // The callable must be moved out before invocation: the callback may
-    // schedule further events and reallocate/rotate the containers.
-    const Tick t = nextWhen();
-    advanceTo(t);
-    // After migration every tick-t event is in t's bucket or the FIFO,
-    // and all bucket sequence numbers precede all FIFO ones for t.
-    const std::size_t idx = static_cast<std::size_t>(t & wheelMask);
-    WheelBucket &bucket = _wheel[idx];
-    InlineEvent fn;
-    if (!bucket.empty()) {
-        fn = wheelPop(bucket, idx);
-    } else {
-        assert(!fifoEmpty() && _fifo[_fifoHead].when == t);
-        fn = popFifo();
-    }
-    ++_eventsExecuted;
-    fn();
-}
-
 bool
 EventQueue::run(Tick limit, std::uint64_t max_events)
 {
     const std::uint64_t budget_end =
         max_events != 0 ? _eventsExecuted + max_events : 0;
 
-    // Tick-batched dispatch. Wheel-bucket entries for tick t can only be
-    // scheduled before the tick begins (a same-tick schedule goes to the
-    // FIFO), so every bucket entry at tick t precedes every FIFO entry
-    // at tick t in sequence order; draining bucket-then-FIFO per tick
-    // replicates strict (when, seq) order without a comparison per
-    // event. Resuming mid-tick (after a budget stop) is covered too:
-    // leftover bucket entries still predate every FIFO entry, and
-    // wheelNextTick scans from the current tick's own bucket.
+    // Tick-batched dispatch. Every event of tick t sits in t's bucket
+    // in sequence order (events scheduled during t are appended behind
+    // the ones scheduled before it), so draining the bucket replicates
+    // strict (when, seq) order without a comparison per event. Resuming
+    // mid-tick (after a budget stop) is covered too: wheelNextTick scans
+    // from the current tick's own bucket.
     while (pending() > 0) {
         if (budget_end != 0 && _eventsExecuted >= budget_end)
             return false;
@@ -104,14 +80,9 @@ EventQueue::run(Tick limit, std::uint64_t max_events)
         while (!bucket.empty()) {
             if (budget_end != 0 && _eventsExecuted >= budget_end)
                 return false;
+            // Moved out before invocation: the callback may schedule
+            // further events and grow or rotate the bucket.
             InlineEvent fn = wheelPop(bucket, idx);
-            ++_eventsExecuted;
-            fn();
-        }
-        while (!fifoEmpty()) {
-            if (budget_end != 0 && _eventsExecuted >= budget_end)
-                return false;
-            InlineEvent fn = popFifo();
             ++_eventsExecuted;
             fn();
         }
@@ -122,12 +93,11 @@ EventQueue::run(Tick limit, std::uint64_t max_events)
 std::uint64_t
 EventQueue::runEvents(std::uint64_t max_events)
 {
-    std::uint64_t executed = 0;
-    while (executed < max_events && pending() > 0) {
-        executeNext();
-        ++executed;
-    }
-    return executed;
+    if (max_events == 0)
+        return 0;
+    const std::uint64_t before = _eventsExecuted;
+    run(maxTick, max_events);
+    return _eventsExecuted - before;
 }
 
 void
@@ -144,8 +114,6 @@ EventQueue::reset()
     }
     _wheelOcc.fill(0);
     _wheelCount = 0;
-    _fifo.clear();
-    _fifoHead = 0;
     _curTick = 0;
     _nextSeq = 0;
     _eventsExecuted = 0;

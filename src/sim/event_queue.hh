@@ -14,16 +14,17 @@
  *  - callables are InlineEvents (32-byte small-buffer callables backed by
  *    a recycling block pool) instead of std::functions, so scheduling
  *    performs no per-event heap allocation in steady state;
- *  - events within the 256-tick horizon go into a timing wheel: one FIFO
- *    bucket per tick, O(1) push and pop. Almost every event a simulation
- *    schedules is a small fixed latency ahead (port hops, recycle delays,
- *    memory latency), so the wheel absorbs nearly all traffic. Bucket
- *    append order equals sequence order: for any tick t, every event is
- *    scheduled either before t begins (appended while seq grows
- *    monotonically) or at t itself (routed to the same-tick FIFO, never
- *    the bucket), and a bucket is fully drained before its index can be
- *    reused (a tick t + 256 schedule is beyond the horizon by exactly one
- *    tick and goes to the heap);
+ *  - events within the 256-tick horizon, the current tick included, go
+ *    into a timing wheel: one FIFO bucket per tick, O(1) push and pop.
+ *    Almost every event a simulation schedules is a small fixed latency
+ *    ahead (port hops, recycle delays, memory latency), so the wheel
+ *    absorbs nearly all traffic. Bucket append order equals sequence
+ *    order: every append to a bucket happens while seq grows
+ *    monotonically, whether before its tick begins or during it (a
+ *    same-tick schedule lands behind the tick's pending entries, which
+ *    all carry smaller sequence numbers), and a bucket is fully drained
+ *    before its index can be reused (a tick t + 256 schedule is beyond
+ *    the horizon by exactly one tick and goes to the heap);
  *  - events at or beyond the horizon go to a hand-rolled 4-ary min-heap
  *    on (when, seq): heap records are 24-byte trivially-copyable (when,
  *    seq, slot) triples; the InlineEvent payloads sit still in a
@@ -32,16 +33,10 @@
  *    horizon migrate into the wheel — in (when, seq) pop order, and
  *    before any event of the new tick runs, so migrated entries always
  *    precede later same-bucket appends in sequence order;
- *  - events scheduled for the *current* tick bypass both structures and
- *    go through a FIFO (scheduleNow / schedule(curTick(), ..)): because
- *    curTick never decreases and sequence numbers only grow, the FIFO is
- *    intrinsically sorted;
- *  - run() dispatches tick-batched: wheel-bucket entries for tick t are
- *    always scheduled before tick t begins, so every bucket sequence
- *    number precedes every FIFO sequence number of the same tick. The
- *    drain loop therefore empties the bucket and then the FIFO with no
- *    per-event (when, seq) comparison, executing the exact order a
- *    single comparing heap would.
+ *  - run() dispatches tick-batched: it drains the current tick's bucket,
+ *    same-tick appends included, with no per-event (when, seq)
+ *    comparison, executing the exact order a single comparing heap
+ *    would.
  */
 
 #ifndef DRF_SIM_EVENT_QUEUE_HH
@@ -50,7 +45,6 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -59,13 +53,6 @@
 
 namespace drf
 {
-
-/**
- * Generic callback type. Only kept for signatures that store callbacks
- * outside the event queue (the queue itself wraps callables in
- * InlineEvent without going through std::function).
- */
-using EventFunc = std::function<void()>;
 
 /**
  * A tick-ordered queue of callbacks with deterministic same-tick ordering.
@@ -88,7 +75,7 @@ class EventQueue
     std::size_t
     pending() const
     {
-        return _heap.size() + _wheelCount + (_fifo.size() - _fifoHead);
+        return _heap.size() + _wheelCount;
     }
 
     /**
@@ -102,14 +89,6 @@ class EventQueue
     schedule(Tick when, F &&fn)
     {
         assert(when >= _curTick && "event scheduled in the past");
-        if (when == _curTick) {
-            // Same-tick fast path: the FIFO stays sorted by construction
-            // (see file comment), so no sift is needed.
-            _fifo.push_back(FifoEntry{when, _nextSeq++,
-                                      InlineEvent(std::forward<F>(fn),
-                                                  _pool)});
-            return;
-        }
         const std::uint64_t seq = _nextSeq++;
         if (when - _curTick < wheelSpan) {
             // Near-future fast path: O(1) bucket append, no heap sift.
@@ -135,9 +114,7 @@ class EventQueue
     void
     scheduleNow(F &&fn)
     {
-        _fifo.push_back(FifoEntry{_curTick, _nextSeq++,
-                                  InlineEvent(std::forward<F>(fn),
-                                              _pool)});
+        schedule(_curTick, std::forward<F>(fn));
     }
 
     /**
@@ -181,14 +158,6 @@ class EventQueue
         std::uint32_t slot;
     };
 
-    /** One current-tick event; the payload rides along (never sifted). */
-    struct FifoEntry
-    {
-        Tick when;
-        std::uint64_t seq;
-        InlineEvent fn;
-    };
-
     /** Initial heap capacity; avoids early growth reallocations. */
     static constexpr std::size_t initialCapacity = 64;
 
@@ -230,8 +199,6 @@ class EventQueue
         _slots.push_back(std::move(fn));
         return static_cast<std::uint32_t>(_slots.size() - 1);
     }
-
-    bool fifoEmpty() const { return _fifoHead == _fifo.size(); }
 
     /** Append an event for tick @p when to its wheel bucket. */
     void
@@ -301,32 +268,14 @@ class EventQueue
     Tick
     nextWhen() const
     {
-        Tick t = fifoEmpty() ? maxTick : _fifo[_fifoHead].when;
-        const Tick w = wheelNextTick();
-        if (w < t)
-            t = w;
+        Tick t = wheelNextTick();
         if (!_heap.empty() && _heap.front().when < t)
             t = _heap.front().when;
         return t;
     }
 
-    /** Pop the FIFO front; compacts the ring when it empties. */
-    InlineEvent
-    popFifo()
-    {
-        InlineEvent fn = std::move(_fifo[_fifoHead].fn);
-        if (++_fifoHead == _fifo.size()) {
-            _fifo.clear();
-            _fifoHead = 0;
-        }
-        return fn;
-    }
-
     void pushHeap(HeapEntry entry);
     HeapEntry popHeap();
-
-    /** Pop and execute the earliest event. @pre queue not empty. */
-    void executeNext();
 
     // _pool is declared before the payload containers so it outlives
     // them: destroying events returns their spilled blocks to the pool.
@@ -337,8 +286,6 @@ class EventQueue
     std::array<WheelBucket, wheelSpan> _wheel; ///< near events, per tick
     std::array<std::uint64_t, wheelSpan / 64> _wheelOcc{}; ///< bucket bits
     std::size_t _wheelCount = 0;  ///< events parked in the wheel
-    std::vector<FifoEntry> _fifo; ///< current-tick events, seq-sorted
-    std::size_t _fifoHead = 0;    ///< consumed prefix of _fifo
     Tick _curTick = 0;
     std::uint64_t _nextSeq = 0;
     std::uint64_t _eventsExecuted = 0;

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "proto/protocol_error.hh"
-#include "sim/logger.hh"
 #include "tester/tester_failure.hh"
 
 namespace drf

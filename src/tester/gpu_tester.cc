@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "proto/protocol_error.hh"
-#include "sim/logger.hh"
 #include "tester/tester_failure.hh"
 #include "trace/recorder.hh"
 
@@ -218,10 +217,6 @@ GpuTester::issueAtomic(Wavefront &wf, bool acquire)
                                      wf.globalId, wf.episode.id});
 
     wf.pendingResponses = 1;
-    DLOG(_sys.eventq(), "Tester", "gpu.tester",
-         (acquire ? "atomic-acquire" : "atomic-release")
-             << " wf=" << wf.globalId << " episode=" << wf.episode.id
-             << " var=" << wf.episode.syncVar);
     _sys.l1(wf.cu).coreRequest(std::move(pkt));
 }
 

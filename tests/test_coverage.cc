@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "coverage/coverage.hh"
+#include "golden_digest.hh"
+#include "proto/cpu_cache.hh"
+#include "proto/directory.hh"
 #include "proto/gpu_l1.hh"
 #include "proto/gpu_l2.hh"
 
@@ -229,6 +234,39 @@ TEST(CellClassNames, Stable)
     EXPECT_STREQ(cellClassName(CellClass::Impsb), "Impsb");
 }
 
+namespace
+{
+
+/**
+ * Digest of a spec's shape: its names, which cells are defined, and
+ * which are Impsb under each test type the experiments classify by.
+ */
+std::uint64_t
+specDigest(const TransitionSpec &spec)
+{
+    drf::testing::Digest d;
+    d.str(spec.name());
+    for (const std::string &s : spec.states())
+        d.str(s);
+    for (const std::string &e : spec.events())
+        d.str(e);
+    for (std::size_t ev = 0; ev < spec.numEvents(); ++ev) {
+        for (std::size_t st = 0; st < spec.numStates(); ++st)
+            d.u64(spec.defined(ev, st) ? 1 : 0);
+    }
+    for (const char *tt : {"gpu_tester", "gpu_tester_multi", "cpu_tester",
+                           "tester_union"}) {
+        d.str(tt);
+        for (std::size_t ev = 0; ev < spec.numEvents(); ++ev) {
+            for (std::size_t st = 0; st < spec.numStates(); ++st)
+                d.u64(spec.impossible(tt, ev, st) ? 1 : 0);
+        }
+    }
+    return d.value();
+}
+
+} // namespace
+
 TEST(ControllerSpecs, PaperDimensions)
 {
     // The reconstructed VIPER tables keep the paper's state and event
@@ -248,4 +286,27 @@ TEST(ControllerSpecs, PaperDimensions)
     EXPECT_EQ(l2.reachableCount("gpu_tester"),
               l2.definedCount() - 4u);
     EXPECT_EQ(l2.impossibleCount("gpu_tester_multi"), 0u);
+
+    // Every controller's spec is pinned whole: its defined-cell count
+    // and a digest of the defined cells and the Impsb marks. A table
+    // row added, dropped or moved changes one of them.
+    struct Pin
+    {
+        const TransitionSpec &spec;
+        std::size_t defined;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {GpuL1Cache::specFor(ProtocolKind::Viper), 17u, 0xfe236818b0c70bf7ull},
+        {GpuL1Cache::specFor(ProtocolKind::Lrcc), 30u, 0x771c7c2ee1577885ull},
+        {GpuL2Cache::spec(), 24u, 0x372dcb2292d97cfcull},
+        {Directory::spec(), 36u, 0x38c713fd0f90f9d0ull},
+        {CpuCache::spec(), 29u, 0x0e4fea6d1e792605ull},
+    };
+    for (const Pin &pin : pins) {
+        EXPECT_EQ(pin.spec.definedCount(), pin.defined) << pin.spec.name();
+        EXPECT_EQ(specDigest(pin.spec), pin.digest)
+            << pin.spec.name() << std::hex << " digest 0x"
+            << specDigest(pin.spec);
+    }
 }

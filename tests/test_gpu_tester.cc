@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/logger.hh"
 #include "tester/configs.hh"
 #include "tester/gpu_tester.hh"
 
